@@ -5,11 +5,15 @@ clips the accumulated perturbation to [-epsilon, +epsilon] per pixel and the
 image back to [0, 1].  The run stops early once the embedding distance to the
 target falls below the convergence threshold.  The final iteration evaluates
 without updating, so the returned image is exactly the last traced state.
+
+A suite runs its pairs in lockstep: one batched forward and backward per
+iteration serves every pair still running.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,6 +22,9 @@ from .autodiff import ShapeError
 from .model import EMBED_KINDS, Embedding, ModelWeights, embed, matching_loss_grad_embed, predict
 
 RELATIVE_CONV_DEFAULT = 0.01  # threshold = 0.01 * ||target embedding|| when unset
+# pairs attacked in lockstep by run_suite: 4 to 16 run equally fast per pair,
+# and the tape context of a chunk grows with it, so peak memory sets the cap
+SUITE_CHUNK = 4
 
 
 class AttackError(RuntimeError):
@@ -92,55 +99,104 @@ def _cosine64(u: np.ndarray, v: np.ndarray) -> float:
     return float(u @ v / (np.linalg.norm(u) * np.linalg.norm(v)))
 
 
+@dataclass
+class _PairRun:
+    """Per-pair state of a lockstep attack."""
+
+    tau: float
+    iterations_used: int
+    trace: list[TracePoint] = field(default_factory=list)
+    max_abs_delta: float = 0.0
+    converged: bool = False
+    best_loss: float = np.inf
+    best_x: np.ndarray | None = None
+    error: str | None = None
+
+
+def _attack_stack(x0: np.ndarray, targets: Embedding, weights: ModelWeights, cfg: PRMConfig,
+                  pairs) -> list:
+    """Attack a stack of sources toward a stack of target embeddings in lockstep.
+
+    ``pairs`` holds (source_id, target_id, label_source_true, label_target_true)
+    per item.  Returns an AttackRecord, or the failure message of a pair whose
+    loss or gradient went non-finite, per item in order.  A pair leaves the
+    active batch when it converges or fails; each keeps its own best iterate,
+    trace and failure, and gets bitwise the record it would get alone: the
+    steps run elementwise on the batch, every reduction that reaches a record
+    runs per pair.
+    """
+    tgt64 = targets.values.astype(np.float64)
+    runs = [_PairRun(RELATIVE_CONV_DEFAULT * float(np.linalg.norm(t))
+                     if cfg.conv_threshold is None else cfg.conv_threshold,
+                     cfg.max_iters) for t in tgt64]
+    active = np.arange(len(runs))
+    x = x0.copy()
+    for t in range(1, cfg.max_iters + 1):
+        losses, grads, embs = matching_loss_grad_embed(
+            x, Embedding(targets.values[active], targets.kind), weights, cfg.kind)
+        keep = np.zeros(len(active), dtype=bool)
+        for j, i in enumerate(active):
+            run, loss = runs[i], float(losses[j])
+            if not np.isfinite(loss) or not np.isfinite(grads[j]).all():
+                run.error = f"non-finite loss or gradient at iteration {t}"
+                continue
+            if loss < run.best_loss:
+                run.best_loss, run.best_x = loss, x[j]
+            dist = float(np.linalg.norm(embs[j].astype(np.float64) - tgt64[i]))
+            hit = dist < run.tau
+            if t == 1 or (t - 1) % cfg.trace_every == 0 or t == cfg.max_iters or hit:
+                run.trace.append(TracePoint(
+                    t, loss, _cosine64(embs[j], targets.values[i]),
+                    float(np.mean(np.abs(x[j] - x0[i]), dtype=np.float64))))
+            if hit:
+                run.converged, run.iterations_used = True, t
+            else:
+                keep[j] = True
+        active = active[keep]
+        if not len(active) or t == cfg.max_iters:
+            break
+        x = project(x[keep] - np.float32(cfg.eta) * grads[keep], x0[active], cfg.epsilon)
+        for j, i in enumerate(active):
+            runs[i].max_abs_delta = max(runs[i].max_abs_delta,
+                                        float(np.max(np.abs(x[j] - x0[i]))))
+    done = [i for i, run in enumerate(runs) if run.error is None]
+    # fixed-step descent can end an oscillation above its starting loss; the
+    # returned image is the best evaluated iterate, so the final loss never
+    # exceeds the initial one (the trace still documents the full trajectory)
+    best = np.stack([runs[i].best_x for i in done]) if done else None
+    labels_before = predict(x0[done], weights, cfg.kind) if done else []
+    labels_after = predict(best, weights, cfg.kind) if done else []
+    outcomes: list = [run.error for run in runs]
+    for j, i in enumerate(done):
+        run = runs[i]
+        source_id, target_id, label_source_true, label_target_true = pairs[i]
+        outcomes[i] = AttackRecord(
+            source_id=source_id,
+            target_id=target_id,
+            image=best[j],
+            iterations_used=run.iterations_used,
+            trace=run.trace,
+            label_source_true=label_source_true,
+            label_target_true=label_target_true,
+            label_before=int(labels_before[j]),
+            label_after=int(labels_after[j]),
+            max_abs_delta=run.max_abs_delta,
+            converged=run.converged,
+        )
+    return outcomes
+
+
 def prm(x0: np.ndarray, target: Embedding, weights: ModelWeights, cfg: PRMConfig,
         *, source_id: str = "", target_id: str = "",
         label_source_true: int = -1, label_target_true: int = -1) -> AttackRecord:
     """Run the matching attack from x0 toward the target embedding."""
     x0 = np.asarray(x0, dtype=np.float32)
-    tgt64 = target.values.astype(np.float64)
-    tau = cfg.conv_threshold
-    if tau is None:
-        tau = RELATIVE_CONV_DEFAULT * float(np.linalg.norm(tgt64))
-    x = x0.copy()
-    trace: list[TracePoint] = []
-    max_abs_delta = 0.0
-    converged = False
-    iterations_used = cfg.max_iters
-    best_loss, best_x = np.inf, x
-    for t in range(1, cfg.max_iters + 1):
-        loss, grad, emb = matching_loss_grad_embed(x, target, weights, cfg.kind)
-        if not np.isfinite(loss) or not np.isfinite(grad).all():
-            raise AttackError(f"non-finite loss or gradient at iteration {t}")
-        if loss < best_loss:
-            best_loss, best_x = loss, x
-        dist = float(np.linalg.norm(emb.astype(np.float64) - tgt64))
-        hit = dist < tau
-        if t == 1 or (t - 1) % cfg.trace_every == 0 or t == cfg.max_iters or hit:
-            trace.append(TracePoint(t, loss, _cosine64(emb, target.values),
-                                    float(np.mean(np.abs(x - x0), dtype=np.float64))))
-        if hit:
-            converged = True
-            iterations_used = t
-            break
-        if t < cfg.max_iters:
-            x = project(x - np.float32(cfg.eta) * grad, x0, cfg.epsilon)
-            max_abs_delta = max(max_abs_delta, float(np.max(np.abs(x - x0))))
-    # fixed-step descent can end an oscillation above its starting loss; the
-    # returned image is the best evaluated iterate, so the final loss never
-    # exceeds the initial one (the trace still documents the full trajectory)
-    return AttackRecord(
-        source_id=source_id,
-        target_id=target_id,
-        image=best_x,
-        iterations_used=iterations_used,
-        trace=trace,
-        label_source_true=label_source_true,
-        label_target_true=label_target_true,
-        label_before=predict(x0, weights, cfg.kind),
-        label_after=predict(best_x, weights, cfg.kind),
-        max_abs_delta=max_abs_delta,
-        converged=converged,
-    )
+    (outcome,) = _attack_stack(
+        x0[None], Embedding(target.values[None], target.kind), weights, cfg,
+        [(source_id, target_id, label_source_true, label_target_true)])
+    if isinstance(outcome, str):
+        raise AttackError(outcome)
+    return outcome
 
 
 def build_pairs(items, seed: int, limit: int | None = None) -> list[tuple[str, str]]:
@@ -164,46 +220,36 @@ def build_pairs(items, seed: int, limit: int | None = None) -> list[tuple[str, s
     return pairs
 
 
-def _run_pair(args):
-    weights, cfg, source, target = args
-    target_emb = embed(target.image, weights, cfg.kind)
-    return prm(source.image, target_emb, weights, cfg,
-               source_id=source.id, target_id=target.id,
-               label_source_true=source.label, label_target_true=target.label)
+def _attack_chunk(task) -> list:
+    weights, cfg, sources, targets = task
+    target_embs = embed(np.stack([t.image for t in targets]), weights, cfg.kind)
+    return _attack_stack(np.stack([s.image for s in sources]), target_embs, weights, cfg,
+                         [(s.id, t.id, s.label, t.label) for s, t in zip(sources, targets)])
 
 
 def run_suite(pairs, weights: ModelWeights, cfg: PRMConfig, items_by_id,
               workers: int = 1):
     """Attack every pair; returns (records, failures).
 
-    Records keep pair order.  A failed pair lands in failures as
-    (source_id, target_id, message) and the remaining pairs still run.
-    Results are identical for any worker count.
+    Pairs run in lockstep chunks of SUITE_CHUNK; with more than one worker,
+    the chunks are spread over a process pool.  Records keep pair order.  A
+    failed pair lands in failures as (source_id, target_id, message) and the
+    remaining pairs, its chunk included, still run.  Results are identical for
+    any worker count.
     """
     if not pairs:
         raise ValueError("pair list is empty")
-    tasks = [(weights, cfg, items_by_id[s], items_by_id[t]) for s, t in pairs]
+    tasks = [(weights, cfg, [items_by_id[s] for s, _ in chunk], [items_by_id[t] for _, t in chunk])
+             for chunk in (pairs[i:i + SUITE_CHUNK] for i in range(0, len(pairs), SUITE_CHUNK))]
+    with (concurrent.futures.ProcessPoolExecutor(max_workers=workers) if workers > 1
+          else contextlib.nullcontext()) as pool:
+        chunks = (pool.map if pool else map)(_attack_chunk, tasks)
+        outcomes = [outcome for chunk in chunks for outcome in chunk]
     records = []
     failures = []
-    if workers <= 1:
-        outcomes = []
-        for task in tasks:
-            try:
-                outcomes.append((task, _run_pair(task), None))
-            except AttackError as e:
-                outcomes.append((task, None, str(e)))
-    else:
-        outcomes = []
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_run_pair, task) for task in tasks]
-            for task, fut in zip(tasks, futures):
-                try:
-                    outcomes.append((task, fut.result(), None))
-                except AttackError as e:
-                    outcomes.append((task, None, str(e)))
-    for task, record, error in outcomes:
-        if record is not None:
-            records.append(record)
+    for (source_id, target_id), outcome in zip(pairs, outcomes):
+        if isinstance(outcome, AttackRecord):
+            records.append(outcome)
         else:
-            failures.append((task[2].id, task[3].id, error))
+            failures.append((source_id, target_id, outcome))
     return records, failures

@@ -88,7 +88,8 @@ def cosine(u, v) -> float:
     nu, nv = np.linalg.norm(u), np.linalg.norm(v)
     if nu == 0.0 or nv == 0.0:
         raise ContractError("cosine: zero vector")
-    return float(u @ v / (nu * nv))
+    # rounding can carry the quotient past +-1 (cosine(e, e) came out 1 + 2.2e-16)
+    return float(np.clip(u @ v / (nu * nv), -1.0, 1.0))
 
 
 def match_success_rate(records, weights, kind: str) -> float:

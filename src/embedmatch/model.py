@@ -7,7 +7,9 @@ class-token vector ("class_token") and the mean over final patch tokens
 ("mil_mean").  Each has its own linear classifier head.
 
 All forward passes run on an autodiff tape so the matching loss can be
-differentiated with respect to the input image.
+differentiated with respect to the input image.  Every entry point takes one
+image (H, W, C) or a stack (B, H, W, C); a single image runs as a stack of
+one, and each item of a stack gets bitwise the result it would get alone.
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ class ModelConfig:
 
 @dataclass
 class Embedding:
-    values: np.ndarray  # (embed_dim,) float32
+    values: np.ndarray  # (embed_dim,) float32, or (B, embed_dim) for a stack of images
     kind: str
 
     def __post_init__(self):
@@ -132,12 +134,16 @@ class ModelWeights:
         return self.tensors[name]
 
 
-def _check_image(image: np.ndarray, config: ModelConfig) -> np.ndarray:
-    image = np.asarray(image, dtype=np.float32)
+def _image_stack(images, config: ModelConfig) -> tuple[np.ndarray, bool]:
+    """(B, H, W, C) float32 stack, and whether a single image was given."""
+    images = np.asarray(images, dtype=np.float32)
     want = (config.image_size, config.image_size, config.channels)
-    if image.shape != want:
-        raise ShapeError(f"image has shape {image.shape}, model expects {want}")
-    return image
+    single = images.ndim == 3
+    stack = images[None] if single else images
+    if stack.ndim != 4 or stack.shape[1:] != want or len(stack) == 0:
+        raise ShapeError(f"image has shape {images.shape}, model expects {want} or a "
+                         f"non-empty stack of them")
+    return stack, single
 
 
 def _check_kind(kind: str) -> str:
@@ -147,27 +153,18 @@ def _check_kind(kind: str) -> str:
 
 
 def _record_trunk(tape: Tape, x: int, wid: dict[str, int], cfg: ModelConfig) -> tuple[int, int]:
-    """Record the transformer trunk; returns (class-token, mil-mean) node ids."""
-    d, dh = cfg.embed_dim, cfg.head_dim
+    """Record the transformer trunk; returns (class-token, mil-mean) node ids, each (B, 1, d)."""
     patches = tape.apply("patchify", x, patch_size=cfg.patch_size)
     tokens = tape.apply("add", tape.apply("matmul", patches, wid["patch_proj.w"]),
                         wid["patch_proj.b"])
-    tokens = tape.apply("concat", wid["cls_token"], tokens, axis=0)
+    tokens = tape.apply("concat", wid["cls_token"], tokens)
     tokens = tape.apply("add", tokens, wid["pos_embed"])
     for i in range(cfg.depth):
         p = f"block{i}."
         h = tape.apply("layer_norm", tokens, wid[p + "attn_norm.g"], wid[p + "attn_norm.b"])
         qkv = tape.apply("add", tape.apply("matmul", h, wid[p + "attn.qkv_w"]),
                          wid[p + "attn.qkv_b"])
-        heads = []
-        for j in range(cfg.num_heads):
-            q = tape.apply("slice", qkv, cols=(j * dh, (j + 1) * dh))
-            k = tape.apply("slice", qkv, cols=(d + j * dh, d + (j + 1) * dh))
-            v = tape.apply("slice", qkv, cols=(2 * d + j * dh, 2 * d + (j + 1) * dh))
-            scores = tape.apply("scale", tape.apply("matmul", q, k, transpose_b=True),
-                                factor=1.0 / np.sqrt(dh))
-            heads.append(tape.apply("matmul", tape.apply("softmax", scores), v))
-        merged = tape.apply("concat", *heads, axis=1)
+        merged = tape.apply("attention", qkv, heads=cfg.num_heads)
         attn_out = tape.apply("add", tape.apply("matmul", merged, wid[p + "attn.out_w"]),
                               wid[p + "attn.out_b"])
         tokens = tape.apply("add", tokens, attn_out)
@@ -183,17 +180,18 @@ def _record_trunk(tape: Tape, x: int, wid: dict[str, int], cfg: ModelConfig) -> 
     return cls_vec, mil_vec
 
 
-def record_forward(image: np.ndarray, weights: ModelWeights, *,
+def record_forward(images: np.ndarray, weights: ModelWeights, *,
                    watch_input: bool = False, watch_weights: bool = False):
-    """Record a full forward pass; returns (tape, node-id map).
+    """Record a full forward pass of an image or a stack; returns (tape, node-id map).
 
     The node map contains the embedding node per kind plus per-kind logits
-    nodes (``logits.<kind>``).  The image leaf is the tape root.
+    nodes (``logits.<kind>``), each shaped (B, 1, n) with B=1 for a single
+    image.  The image-stack leaf is the tape root.
     """
     cfg = weights.config
-    image = _check_image(image, cfg)
+    stack, _ = _image_stack(images, cfg)
     tape = Tape()
-    x = tape.input_leaf(image) if watch_input else tape.leaf(image)
+    x = tape.input_leaf(stack) if watch_input else tape.leaf(stack)
     if not watch_input:
         tape.root = x
     wid = {name: tape.leaf(t, watch=watch_weights) for name, t in weights.tensors.items()}
@@ -206,47 +204,51 @@ def record_forward(image: np.ndarray, weights: ModelWeights, *,
     return tape, nodes
 
 
-def embed(image: np.ndarray, weights: ModelWeights, kind: str) -> Embedding:
-    """Embedding of an image under the chosen head; pure and deterministic."""
-    _check_kind(kind)
-    tape, nodes = record_forward(image, weights)
-    return Embedding(tape.value(nodes[kind])[0].copy(), kind)
+def _forward_rows(images, weights: ModelWeights, key: str) -> np.ndarray:
+    """One forward pass; the (B, n) rows of a node, or (n,) for a single image."""
+    stack, single = _image_stack(images, weights.config)
+    tape, nodes = record_forward(stack, weights)
+    rows = tape.value(nodes[key])[:, 0]
+    return (rows[0] if single else rows).copy()
 
 
-def logits(image: np.ndarray, weights: ModelWeights, kind: str) -> np.ndarray:
-    """Classifier logits for the chosen embedding kind, shape (num_classes,)."""
-    _check_kind(kind)
-    tape, nodes = record_forward(image, weights)
-    return tape.value(nodes[f"logits.{kind}"])[0].copy()
+def embed(images: np.ndarray, weights: ModelWeights, kind: str) -> Embedding:
+    """Embedding of an image (or a stack) under the chosen head; pure and deterministic."""
+    return Embedding(_forward_rows(images, weights, _check_kind(kind)), kind)
 
 
-def predict(image: np.ndarray, weights: ModelWeights, kind: str) -> int:
-    """Predicted class label; ties broken toward the lowest class index."""
-    return int(np.argmax(logits(image, weights, kind)))
+def logits(images: np.ndarray, weights: ModelWeights, kind: str) -> np.ndarray:
+    """Classifier logits for the chosen embedding kind, (num_classes,) or (B, num_classes)."""
+    return _forward_rows(images, weights, f"logits.{_check_kind(kind)}")
 
 
-def _matching_graph(image: np.ndarray, target: Embedding, weights: ModelWeights, kind: str):
+def predict(images: np.ndarray, weights: ModelWeights, kind: str):
+    """Predicted class label (an int, or an int array for a stack); ties go to the lowest index."""
+    labels = np.argmax(logits(images, weights, kind), axis=-1)
+    return int(labels) if labels.ndim == 0 else labels
+
+
+def _matching_graph(images: np.ndarray, target: Embedding, weights: ModelWeights, kind: str):
     _check_kind(kind)
     if target.kind != kind:
         raise ValueError(f"target embedding kind {target.kind!r} does not match requested {kind!r}")
-    if target.values.shape != (weights.config.embed_dim,):
-        raise ShapeError(
-            f"target embedding has shape {target.values.shape}, "
-            f"expected ({weights.config.embed_dim},)")
     cfg = weights.config
-    image = _check_image(image, cfg)
+    stack, single = _image_stack(images, cfg)
+    want = (cfg.embed_dim,) if single else (len(stack), cfg.embed_dim)
+    if target.values.shape != want:
+        raise ShapeError(f"target embedding has shape {target.values.shape}, expected {want}")
     tape = Tape()
-    x = tape.input_leaf(image)
+    x = tape.input_leaf(stack)
     wid = {name: tape.leaf(t) for name, t in weights.tensors.items()}
     cls_vec, mil_vec = _record_trunk(tape, x, wid, cfg)
     emb = cls_vec if kind == "class_token" else mil_vec
-    tgt = tape.leaf(target.values.reshape(1, -1))
+    tgt = tape.leaf(target.values.reshape(len(stack), 1, cfg.embed_dim))
     diff = tape.apply("add", emb, tape.apply("scale", tgt, factor=-1.0))
     loss = tape.apply("scale", tape.apply("matmul", diff, diff, transpose_b=True), factor=0.5)
-    return tape, loss, diff, emb
+    return tape, loss, diff, emb, single
 
 
-def matching_loss_grad_embed(image: np.ndarray, target: Embedding,
+def matching_loss_grad_embed(images: np.ndarray, target: Embedding,
                              weights: ModelWeights, kind: str):
     """(loss, d loss/d image, current embedding values) in one pass.
 
@@ -254,15 +256,15 @@ def matching_loss_grad_embed(image: np.ndarray, target: Embedding,
     the target embedding; the gradient comes from the recorded tape.  The
     returned scalar keeps its 64-bit accumulation (the stored node is float32)
     so finite-difference checks are not limited by output quantization.
+
+    For a stack of images and a stack of targets, returns a float64 array of
+    per-item losses, the (B, H, W, C) gradients and the (B, d) embeddings.
     """
-    tape, loss, diff, emb = _matching_graph(image, target, weights, kind)
-    grad = backward_to_input(tape, loss)
-    d64 = tape.value(diff)[0].astype(np.float64)
-    return 0.5 * float(d64 @ d64), grad, tape.value(emb)[0].copy()
-
-
-def matching_loss_and_grad(image: np.ndarray, target: Embedding,
-                           weights: ModelWeights, kind: str):
-    """Matching loss and its gradient with respect to the image."""
-    loss, grad, _ = matching_loss_grad_embed(image, target, weights, kind)
-    return loss, grad
+    tape, loss, diff, emb, single = _matching_graph(images, target, weights, kind)
+    grads = backward_to_input(tape, loss)
+    d64 = tape.value(diff)[:, 0].astype(np.float64)
+    losses = np.array([0.5 * float(d @ d) for d in d64])
+    embs = tape.value(emb)[:, 0].copy()
+    if single:
+        return float(losses[0]), grads[0], embs[0]
+    return losses, grads, embs

@@ -72,11 +72,11 @@ def _sample_loss_and_grads(item, weights: ModelWeights):
     loss = 0.0
     for kind in EMBED_KINDS:
         nid = nodes[f"logits.{kind}"]
-        p = _softmax64(tape.value(nid)[0])
+        p = _softmax64(tape.value(nid)[0, 0])
         loss -= float(np.log(max(p[item.label], 1e-300)))
         seed = p.copy()
         seed[item.label] -= 1.0
-        seeds[nid] = seed.reshape(1, -1)
+        seeds[nid] = seed.reshape(1, 1, -1)
     leaf_grads = tape.backward(seeds)
     by_name = {}
     for name, nid in nodes["weights"].items():

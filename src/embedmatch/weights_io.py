@@ -116,8 +116,12 @@ def load_weights(path) -> ModelWeights:
             raise WeightFormatError(f"duplicate tensor name {name!r} at byte {name_off}")
         (ndim,) = r.unpack("<B", "ndim")
         dims = r.unpack(f"<{ndim}I", f"dims of {name!r}")
+        payload_off = r.offset
         payload = r.take(4 * int(np.prod(dims, dtype=np.int64)), f"payload of {name!r}")
         tensors[name] = np.frombuffer(payload, dtype="<f4").reshape(dims).astype(np.float32)
+        if not np.isfinite(tensors[name]).all():
+            raise WeightFormatError(
+                f"tensor {name!r} holds non-finite values (payload at byte {payload_off})")
     if r.offset != len(r.data):
         raise WeightFormatError(f"{len(r.data) - r.offset} trailing bytes at byte {r.offset}")
     if HPARAMS_NAME not in tensors:

@@ -2,7 +2,8 @@
 
 Run with `pytest tests/test_acceptance.py -s` to watch the lines appear.
 The desk model (trained once per session) and a 100-pair attack suite back
-the behavioral criteria; tolerances are pinned here, not configurable.
+the behavioral criteria; tolerances are pinned here, not configurable.  The
+criteria that need them are marked slow, so `-m "not slow"` skips them.
 """
 
 import json
@@ -111,6 +112,7 @@ def test_criterion_2_projection_soundness():
            f"min PSNR {worst_psnr:.2f} dB >= {bound:.2f} dB")
 
 
+@pytest.mark.slow
 def test_criterion_3_trajectory_shape(suite, tmp_path):
     """A converging run: rising cosine, final loss under 10% of initial."""
     converged = [r for r in suite["records"] if r.converged]
@@ -132,6 +134,7 @@ def test_criterion_3_trajectory_shape(suite, tmp_path):
            f"{per_pair:.1f}s/pair (<120s)")
 
 
+@pytest.mark.slow
 def test_criterion_4_accuracy_collapse(suite, desk_dataset):
     """Clean accuracy >= 90%; attack drops it >= 50 pp with MSR >= 60%."""
     report = suite["report"]
@@ -149,6 +152,7 @@ def test_criterion_4_accuracy_collapse(suite, desk_dataset):
            f"MSR {report.msr:.3f}, suite {suite['elapsed']:.0f}s (<1800s)")
 
 
+@pytest.mark.slow
 def test_criterion_5_cosine_separation(suite, desk_model, desk_dataset):
     """Optimized images sit near targets, far from originals, in cosine."""
     report = suite["report"]
@@ -172,6 +176,7 @@ def test_criterion_5_cosine_separation(suite, desk_model, desk_dataset):
            f"(margin {margin:.3f} >= 0.3); progress held on all {len(suite['records'])} pairs")
 
 
+@pytest.mark.slow
 def test_criterion_6_metric_identities(suite, desk_model):
     weights, _ = desk_model
     rng = np.random.default_rng(0)
@@ -190,6 +195,7 @@ def test_criterion_6_metric_identities(suite, desk_model):
            "aggregate MSR == brute-force recompute (exact)")
 
 
+@pytest.mark.slow
 def test_criterion_7_pca_contract(desk_model, desk_dataset):
     weights, _ = desk_model
     embeddings = [embed(it.image, weights, ATTACK_KIND)
@@ -237,6 +243,7 @@ def _boundary_matched(src_item, tgt_item, weights, kind=ATTACK_KIND,
     return x
 
 
+@pytest.mark.slow
 def test_criterion_8_detector_margin(desk_model, desk_dataset):
     """Attacked flag rate beats clean flag rate by >= 30 pp at some sigma."""
     start = time.monotonic()

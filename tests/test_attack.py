@@ -5,11 +5,12 @@ import pytest
 
 from conftest import random_image, tiny_config
 
-from embedmatch.attack import (AttackRecord, PairingError, PRMConfig, build_pairs,
-                               prm, project, run_suite)
+from embedmatch.attack import (SUITE_CHUNK, AttackError, AttackRecord, PairingError,
+                               PRMConfig, build_pairs, prm, project, run_suite)
 from embedmatch.autodiff import ShapeError
 from embedmatch.data import LabelledImage
 from embedmatch.model import embed
+from embedmatch.records_io import write_records
 from embedmatch.weights_io import init_weights
 
 
@@ -182,6 +183,62 @@ def test_run_suite_parallel_equals_serial(setup):
         assert a.trace == b.trace
         assert (a.iterations_used, a.converged, a.max_abs_delta) == \
                (b.iterations_used, b.converged, b.max_abs_delta)
+
+
+# pairs stop anywhere between iteration 4 and the cap of 30 on the tiny model
+UNEVEN = PRMConfig(kind="mil_mean", eta=0.5, max_iters=30, trace_every=7, conv_threshold=0.1)
+
+
+def _record_key(r):
+    return (r.source_id, r.target_id, r.image.tobytes(), r.iterations_used, r.trace,
+            r.label_source_true, r.label_target_true, r.label_before, r.label_after,
+            r.max_abs_delta, r.converged)
+
+
+def _written(records, out):
+    write_records(records, out)
+    return {p.relative_to(out).as_posix(): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+
+
+def _prm_pair(w, cfg, by_id, source_id, target_id):
+    source, target = by_id[source_id], by_id[target_id]
+    return prm(source.image, embed(target.image, w, cfg.kind), w, cfg,
+               source_id=source_id, target_id=target_id,
+               label_source_true=source.label, label_target_true=target.label)
+
+
+def test_run_suite_lockstep_equals_per_pair_prm(setup, tmp_path):
+    cfg, w, rng = setup
+    _, by_id, pairs = _suite_fixture(cfg, rng, n=20)
+    assert len(pairs) > 2 * SUITE_CHUNK  # several chunks, the last one partial
+    serial, serial_failures = run_suite(pairs, w, UNEVEN, by_id, workers=1)
+    parallel, parallel_failures = run_suite(pairs, w, UNEVEN, by_id, workers=4)
+    assert not serial_failures and not parallel_failures
+    iterations = [r.iterations_used for r in serial]
+    assert len(set(iterations)) > 5 and max(iterations) == UNEVEN.max_iters
+    assert 0 < sum(r.converged for r in serial) < len(serial)
+    assert _written(serial, tmp_path / "w1") == _written(parallel, tmp_path / "w4")
+    for r, (source_id, target_id) in zip(serial, pairs):
+        assert _record_key(r) == _record_key(_prm_pair(w, UNEVEN, by_id, source_id, target_id))
+
+
+def test_run_suite_contains_non_finite_pair(setup):
+    cfg, w, rng = setup
+    _, by_id, pairs = _suite_fixture(cfg, rng, n=6)
+    targets = {t for _, t in pairs}
+    bad = next(i for i, (s, _) in enumerate(pairs) if s not in targets)
+    source = by_id[pairs[bad][0]]
+    poisoned = source.image.copy()
+    poisoned[0, 0, 0] = np.nan
+    by_id_bad = dict(by_id)
+    by_id_bad[source.id] = LabelledImage(source.id, poisoned, source.label)
+    clean, _ = run_suite(pairs, w, UNEVEN, by_id)
+    records, failures = run_suite(pairs, w, UNEVEN, by_id_bad)
+    assert failures == [(*pairs[bad], "non-finite loss or gradient at iteration 1")]
+    assert [_record_key(r) for r in records] == \
+        [_record_key(r) for i, r in enumerate(clean) if i != bad]
+    with pytest.raises(AttackError, match="at iteration 1$"):
+        prm(poisoned, embed(by_id[pairs[bad][1]].image, w, UNEVEN.kind), w, UNEVEN)
 
 
 def test_run_suite_rejects_empty(setup):

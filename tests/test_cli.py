@@ -9,6 +9,7 @@ import pytest
 
 from embedmatch.cli import main
 from embedmatch.records_io import read_records
+from embedmatch.weights_io import load_weights, save_weights
 
 SMALL_GEN = ["--num-per-class", "20", "--num-classes", "2", "--image-size", "16"]
 SMALL_TRAIN = ["--patch-size", "4", "--embed-dim", "16", "--depth", "1",
@@ -61,6 +62,17 @@ def test_corrupt_weights_is_data_error(pipeline, tmp_path):
     code = main(["attack", "--weights", str(bad), "--data", str(pipeline / "data"),
                  "--out", str(tmp_path / "out"), "--seed", "1"] + SMALL_ATTACK)
     assert code == 2
+
+
+def test_non_finite_weights_is_data_error(pipeline, tmp_path, capsys):
+    weights = load_weights(pipeline / "model" / "weights.vitw")
+    weights.tensors["block0.attn.qkv_w"][0, 0] = np.nan
+    bad = tmp_path / "nan.vitw"
+    save_weights(weights, bad)
+    code = main(["attack", "--weights", str(bad), "--data", str(pipeline / "data"),
+                 "--out", str(tmp_path / "out"), "--seed", "1"] + SMALL_ATTACK)
+    assert code == 2
+    assert "block0.attn.qkv_w" in capsys.readouterr().err
 
 
 def test_attack_outputs_respect_epsilon(pipeline):

@@ -83,6 +83,13 @@ def test_cosine_identities():
         cosine(np.ones(3), np.ones(4))
 
 
+def test_cosine_of_equal_embeddings_is_exactly_one():
+    # unclamped, float64 rounding gives 1.0000000000000002 for this vector
+    e = np.random.default_rng(3).standard_normal(64).astype(np.float32)
+    assert cosine(e, e) == 1.0
+    assert cosine(e, -e) == -1.0
+
+
 # --- attack-record aggregation -------------------------------------------------------
 
 

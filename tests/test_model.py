@@ -2,13 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _reference import reference_embedding, reference_logits
 from conftest import random_image, tiny_config
 
 from embedmatch.autodiff import ShapeError, finite_diff_gradient
 from embedmatch.model import (EMBED_KINDS, Embedding, ModelConfig, embed, logits,
-                              matching_loss_and_grad, matching_loss_grad_embed, predict)
+                              matching_loss_grad_embed, predict)
 from embedmatch.weights_io import init_weights
 
 
@@ -109,7 +111,7 @@ def test_matching_loss_at_own_embedding_is_zero(setup):
     cfg, w, rng = setup
     x = random_image(rng, cfg)
     for kind in EMBED_KINDS:
-        loss, grad = matching_loss_and_grad(x, embed(x, w, kind), w, kind)
+        loss, grad, _ = matching_loss_grad_embed(x, embed(x, w, kind), w, kind)
         assert loss < 1e-10
         assert np.max(np.abs(grad)) < 1e-6
 
@@ -128,7 +130,7 @@ def test_matching_loss_nonnegative(setup):
     for _ in range(10):
         x = random_image(rng, cfg)
         target = embed(random_image(rng, cfg), w, "class_token")
-        loss, _ = matching_loss_and_grad(x, target, w, "class_token")
+        loss, _, _ = matching_loss_grad_embed(x, target, w, "class_token")
         assert loss >= 0.0
 
 
@@ -138,7 +140,7 @@ def test_matching_grad_matches_finite_differences_both_kinds(setup):
     x = random_image(rng, cfg)
     for kind in EMBED_KINDS:
         target = embed(random_image(rng, cfg), w, kind)
-        _, grad = matching_loss_and_grad(x, target, w, kind)
+        _, grad, _ = matching_loss_grad_embed(x, target, w, kind)
         fd = finite_diff_gradient(
             lambda v: reference_matching_loss(v, target.values, w, kind), x, 1e-3)
         assert np.linalg.norm(grad.astype(np.float64) - fd) <= 1e-3 * max(np.linalg.norm(fd), 1.0)
@@ -149,9 +151,50 @@ def test_matching_rejects_kind_mismatch(setup):
     x = random_image(rng, cfg)
     target = embed(x, w, "class_token")
     with pytest.raises(ValueError):
-        matching_loss_and_grad(x, target, w, "mil_mean")
+        matching_loss_grad_embed(x, target, w, "mil_mean")
 
 
 def test_embedding_kind_validation():
     with pytest.raises(ValueError):
         Embedding(np.zeros(4, np.float32), "nope")
+
+
+# --- batch invariance: a stack of B gives the bits of B single calls -------------
+#
+# numpy and BLAS do not promise this (a batched product may sum in another
+# order); the attack suite's records depend on it, so it is pinned here.
+
+
+@pytest.mark.parametrize("config", [tiny_config(), ModelConfig()], ids=["tiny", "default"])
+@settings(max_examples=6, deadline=None)
+@given(b=st.integers(1, 9), seed=st.integers(0, 2**31))
+def test_stack_equals_single_calls_bitwise(config, b, seed):
+    rng = np.random.default_rng(seed)
+    w = init_weights(config, seed=seed % 97)
+    images = np.stack([random_image(rng, config) for _ in range(b)])
+    for kind in EMBED_KINDS:
+        stacked = embed(images, w, kind)
+        assert stacked.values.shape == (b, config.embed_dim)
+        singles = [embed(x, w, kind).values for x in images]
+        assert stacked.values.tobytes() == np.stack(singles).tobytes()
+        labels = predict(images, w, kind)
+        assert [int(v) for v in labels] == [predict(x, w, kind) for x in images]
+        targets = Embedding(stacked.values[::-1].copy(), kind)
+        losses, grads, embs = matching_loss_grad_embed(images, targets, w, kind)
+        assert grads.shape == images.shape and embs.shape == (b, config.embed_dim)
+        for i, x in enumerate(images):
+            loss, grad, emb = matching_loss_grad_embed(
+                x, Embedding(targets.values[i], kind), w, kind)
+            assert loss == losses[i]
+            assert grad.tobytes() == grads[i].tobytes()
+            assert emb.tobytes() == embs[i].tobytes()
+
+
+def test_stack_target_shape_must_match(setup):
+    cfg, w, rng = setup
+    images = np.stack([random_image(rng, cfg) for _ in range(3)])
+    targets = embed(images[:2], w, "mil_mean")
+    with pytest.raises(ShapeError):
+        matching_loss_grad_embed(images, targets, w, "mil_mean")
+    with pytest.raises(ShapeError):
+        embed(images[:0], w, "mil_mean")

@@ -94,6 +94,22 @@ def test_unsupported_version_rejected(tmp_path):
     assert "version" in str(err.value)
 
 
+def test_non_finite_tensor_rejected_by_name(tmp_path):
+    path = tmp_path / "w.vitw"
+    weights = init_weights(tiny_config(), 0)
+    save_weights(weights, path)
+    data = bytearray(path.read_bytes())
+    name = b"block0.mlp.fc1_w"
+    ndim = weights.tensors[name.decode()].ndim
+    payload = data.index(name) + len(name) + 1 + 4 * ndim
+    data[payload + 8:payload + 12] = np.array([np.nan], dtype="<f4").tobytes()
+    path.write_bytes(bytes(data))
+    with pytest.raises(WeightFormatError) as err:
+        load_weights(path)
+    assert "'block0.mlp.fc1_w'" in str(err.value)
+    assert "non-finite" in str(err.value)
+
+
 def test_file_size_is_analytic(tmp_path):
     for cfg in (tiny_config(), ModelConfig()):
         path = tmp_path / "w.vitw"
