@@ -19,12 +19,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import ShapeError
-from .model import EMBED_KINDS, Embedding, ModelWeights, embed, matching_loss_grad_embed, predict
+from .model import (CHUNK, EMBED_KINDS, Embedding, ModelWeights, embed,
+                    matching_loss_grad_embed, predict)
 
 RELATIVE_CONV_DEFAULT = 0.01  # threshold = 0.01 * ||target embedding|| when unset
-# pairs attacked in lockstep by run_suite: 4 to 16 run equally fast per pair,
-# and the tape context of a chunk grows with it, so peak memory sets the cap
-SUITE_CHUNK = 4
 
 
 class AttackError(RuntimeError):
@@ -231,7 +229,7 @@ def run_suite(pairs, weights: ModelWeights, cfg: PRMConfig, items_by_id,
               workers: int = 1):
     """Attack every pair; returns (records, failures).
 
-    Pairs run in lockstep chunks of SUITE_CHUNK; with more than one worker,
+    Pairs run in lockstep chunks of model.CHUNK; with more than one worker,
     the chunks are spread over a process pool.  Records keep pair order.  A
     failed pair lands in failures as (source_id, target_id, message) and the
     remaining pairs, its chunk included, still run.  Results are identical for
@@ -240,7 +238,7 @@ def run_suite(pairs, weights: ModelWeights, cfg: PRMConfig, items_by_id,
     if not pairs:
         raise ValueError("pair list is empty")
     tasks = [(weights, cfg, [items_by_id[s] for s, _ in chunk], [items_by_id[t] for _, t in chunk])
-             for chunk in (pairs[i:i + SUITE_CHUNK] for i in range(0, len(pairs), SUITE_CHUNK))]
+             for chunk in (pairs[i:i + CHUNK] for i in range(0, len(pairs), CHUNK))]
     with (concurrent.futures.ProcessPoolExecutor(max_workers=workers) if workers > 1
           else contextlib.nullcontext()) as pool:
         chunks = (pool.map if pool else map)(_attack_chunk, tasks)

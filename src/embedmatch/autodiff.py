@@ -147,29 +147,6 @@ def backward_to_input(tape: Tape, loss_node: int) -> np.ndarray:
     return g.astype(np.float32)
 
 
-def finite_diff_gradient(evaluate, x: np.ndarray, h: float) -> np.ndarray:
-    """Central-difference gradient of a scalar function, accumulated in float64.
-
-    Independent of the tape machinery; used as the oracle for backward passes.
-    Non-finite evaluations propagate into the corresponding entries.
-    """
-    if h <= 0:
-        raise ValueError(f"finite_diff_gradient: h must be positive, got {h}")
-    x = np.asarray(x, dtype=np.float32)
-    grad = np.zeros(x.shape, dtype=np.float64)
-    flat = grad.reshape(-1)
-    for i in range(x.size):
-        xp = x.copy().reshape(-1)
-        xm = x.copy().reshape(-1)
-        xp[i] = np.float32(xp[i] + h)
-        xm[i] = np.float32(xm[i] - h)
-        denom = float(xp[i]) - float(xm[i])
-        fp = float(evaluate(xp.reshape(x.shape)))
-        fm = float(evaluate(xm.reshape(x.shape)))
-        flat[i] = (fp - fm) / denom
-    return grad
-
-
 # ---------------------------------------------------------------------------
 # primitive forward / vjp pairs
 #

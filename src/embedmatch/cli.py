@@ -28,9 +28,9 @@ from . import __version__
 from .attack import AttackError, PairingError, PRMConfig, build_pairs, run_suite
 from .data import (ImageParseError, ManifestError, generate_synthetic, load_dataset,
                    split, write_dataset)
-from .detector import sweep
+from .detector import DetectorConfig, sweep
 from .metrics import aggregate, per_record_metrics
-from .model import ModelConfig
+from .model import ModelConfig, embed
 from .pca import fit_pca
 from .pca import project as pca_project
 from .records_io import read_records, write_records
@@ -60,6 +60,14 @@ def _resolve_seed(args) -> int:
         except ValueError:
             raise UsageError(f"EMBEDMATCH_SEED is not an integer: {env!r}") from None
     return 0
+
+
+def _config(cls, **fields):
+    """Build a config from flag values; a value out of range is a usage error."""
+    try:
+        return cls(**fields)
+    except ValueError as e:
+        raise UsageError(str(e)) from None
 
 
 def _require(path, flag: str) -> Path:
@@ -129,17 +137,17 @@ def cmd_gen_data(args) -> None:
 
 def cmd_train(args) -> None:
     seed = _resolve_seed(args)
+    tcfg = _config(TrainConfig, epochs=args.epochs, batch_size=args.batch_size,
+                   learning_rate=args.learning_rate, seed=seed)
     out = _out_dir(args)
     items = load_dataset(_manifest_path(args.data))
     num_classes = args.num_classes or max(it.label for it in items) + 1
     first = items[0].image
-    config = ModelConfig(
-        image_size=first.shape[0], channels=first.shape[2], patch_size=args.patch_size,
-        embed_dim=args.embed_dim, depth=args.depth, num_heads=args.num_heads,
-        mlp_ratio=args.mlp_ratio, num_classes=num_classes)
+    config = _config(
+        ModelConfig, image_size=first.shape[0], channels=first.shape[2],
+        patch_size=args.patch_size, embed_dim=args.embed_dim, depth=args.depth,
+        num_heads=args.num_heads, mlp_ratio=args.mlp_ratio, num_classes=num_classes)
     train_items, val_items, _ = _split_items(items, seed)
-    tcfg = TrainConfig(epochs=args.epochs, batch_size=args.batch_size,
-                       learning_rate=args.learning_rate, seed=seed)
     weights, history = train(config, tcfg, train_items, val_items)
     weights_path = out / "weights.vitw"
     save_weights(weights, weights_path)
@@ -152,6 +160,11 @@ def cmd_train(args) -> None:
 
 def cmd_attack(args) -> None:
     seed = _resolve_seed(args)
+    cfg = _config(PRMConfig, eta=args.eta, epsilon=args.epsilon, max_iters=args.max_iters,
+                  conv_threshold=args.conv_threshold, kind=KIND_FLAGS[args.kind],
+                  trace_every=args.trace_every)
+    if args.num_pairs is not None and args.num_pairs < 1:
+        raise UsageError("--num-pairs must be >= 1")
     out = _out_dir(args)
     weights = load_weights(_require(args.weights, "--weights"))
     items = load_dataset(_manifest_path(args.data))
@@ -160,9 +173,6 @@ def cmd_attack(args) -> None:
         pairs = build_pairs(test_items, derive_seed(seed, "pairs"), limit=args.num_pairs)
     except PairingError as e:
         raise UsageError(f"--data: {e}") from None
-    cfg = PRMConfig(eta=args.eta, epsilon=args.epsilon, max_iters=args.max_iters,
-                    conv_threshold=args.conv_threshold, kind=KIND_FLAGS[args.kind],
-                    trace_every=args.trace_every)
     by_id = {it.id: it for it in items}
     records, failures = run_suite(pairs, weights, cfg, by_id, workers=args.workers)
     records_path = write_records(records, out)
@@ -184,17 +194,21 @@ def _context_from_args(args):
     return weights, items, records, KIND_FLAGS[args.kind]
 
 
+def _analyze(weights, items, records, kind: str, seed: int):
+    """(aggregate report, per-record rows), each computed once; shared by metrics and report."""
+    _, _, test_items = _split_items(items, seed)
+    rows = per_record_metrics(records, items_by_id={it.id: it for it in items},
+                              weights=weights, kind=kind)
+    return aggregate(records, rows, evaluate(weights, test_items)[kind]), rows
+
+
 def cmd_metrics(args) -> None:
     seed = _resolve_seed(args)
     out = _out_dir(args)
     weights, items, records, kind = _context_from_args(args)
-    _, _, test_items = _split_items(items, seed)
-    clean_accuracy = evaluate(weights, test_items)[kind]
-    by_id = {it.id: it for it in items}
-    report = aggregate(records, clean_accuracy, items_by_id=by_id, weights=weights, kind=kind)
+    report, rows = _analyze(weights, items, records, kind, seed)
     metrics_path = out / "metrics.json"
     metrics_path.write_text(json.dumps(report.to_dict(), indent=2) + "\n")
-    rows = per_record_metrics(records, items_by_id=by_id, weights=weights, kind=kind)
     with (out / "per_record.csv").open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([f.name for f in rows[0].__dataclass_fields__.values()])
@@ -209,42 +223,40 @@ def cmd_project(args) -> None:
     seed = _resolve_seed(args)
     out = _out_dir(args)
     weights, items, records, kind = _context_from_args(args)
-    from .model import embed  # local import keeps module load light
     _, _, test_items = _split_items(items, seed)
-    basis = fit_pca([embed(it.image, weights, kind) for it in test_items], k=6)
+    basis = fit_pca(embed([it.image for it in test_items], weights, kind).values, k=6)
     by_id = {it.id: it for it in items}
+    originals, optimized, targets = (embed(images, weights, kind).values for images in (
+        [by_id[r.source_id].image for r in records], [r.image for r in records],
+        [by_id[r.target_id].image for r in records]))
     path = out / "projections.csv"
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["id", "role"] + [f"pc{i}" for i in range(1, 7)])
-        for r in records:
-            triples = [
-                (r.source_id, "original", by_id[r.source_id].image),
-                (f"{r.source_id}->{r.target_id}", "optimized", r.image),
-                (r.target_id, "target", by_id[r.target_id].image),
-            ]
-            for row_id, role, image in triples:
-                coords = pca_project(embed(image, weights, kind), basis)
-                writer.writerow([row_id, role] + [repr(float(c)) for c in coords])
+        for r, e0, e1, et in zip(records, originals, optimized, targets):
+            for row_id, role, e in ((r.source_id, "original", e0),
+                                    (f"{r.source_id}->{r.target_id}", "optimized", e1),
+                                    (r.target_id, "target", et)):
+                writer.writerow([row_id, role] + [repr(float(c)) for c in pca_project(e, basis)])
     _write_run_manifest(out, "project", args, seed, [path])
     print(f"wrote projections for {len(records)} attack triples to {path}")
 
 
 def cmd_detect(args) -> None:
     seed = _resolve_seed(args)
-    out = _out_dir(args)
-    weights, items, records, kind = _context_from_args(args)
-    by_id = {it.id: it for it in items}
-    clean_images = [by_id[r.source_id].image for r in records]
-    attacked_images = [r.image for r in records]
     try:
         sigmas = [float(s) for s in args.sigmas.split(",") if s.strip()]
     except ValueError:
         raise UsageError(f"--sigmas: expected comma-separated floats, got {args.sigmas!r}") from None
     if not sigmas:
         raise UsageError("--sigmas: empty list")
-    rows = sweep(clean_images, attacked_images, sigmas, weights, kind,
-                 derive_seed(seed, "detector"), draws=args.draws)
+    for sigma in sigmas:
+        _config(DetectorConfig, sigma=sigma, draws=args.draws)
+    out = _out_dir(args)
+    weights, items, records, kind = _context_from_args(args)
+    by_id = {it.id: it for it in items}
+    rows = sweep([by_id[r.source_id].image for r in records], [r.image for r in records],
+                 sigmas, weights, kind, derive_seed(seed, "detector"), draws=args.draws)
     path = out / "sweep.csv"
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
@@ -303,11 +315,7 @@ def cmd_report(args) -> None:
     weights = load_weights(_require(attack_args["weights"], "--run (weights path)"))
     items = load_dataset(_manifest_path(attack_args["data"], "--run (data path)"))
     records = read_records(_require(run_dir / "records.jsonl", "--run (records)"))
-    kind = KIND_FLAGS[attack_args["kind"]]
-    _, _, test_items = _split_items(items, seed)
-    clean_accuracy = evaluate(weights, test_items)[kind]
-    by_id = {it.id: it for it in items}
-    report = aggregate(records, clean_accuracy, items_by_id=by_id, weights=weights, kind=kind)
+    report, _ = _analyze(weights, items, records, KIND_FLAGS[attack_args["kind"]], seed)
 
     sweep_rows = []
     sweep_path = args.sweep or (run_dir / "sweep.csv")

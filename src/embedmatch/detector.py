@@ -13,17 +13,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ModelWeights, predict
-from .seeding import PURPOSES
+from .seeding import derive_seed
 
 
 @dataclass(frozen=True)
 class DetectorConfig:
     sigma: float = 0.05
     draws: int = 1
-    seed: int = 0
 
     def __post_init__(self):
-        if self.sigma < 0:
+        if not self.sigma >= 0:  # also rejects NaN
             raise ValueError("sigma must be >= 0")
         if self.draws < 1:
             raise ValueError("draws must be >= 1")
@@ -31,23 +30,27 @@ class DetectorConfig:
 
 @dataclass
 class DetectResult:
-    flagged: bool
-    clean_label: int
-    noisy_labels: list[int]
+    flagged: np.ndarray       # (B,) bool
+    noisy_labels: np.ndarray  # (B, draws)
 
 
-def detect(image: np.ndarray, weights: ModelWeights, kind: str,
-           cfg: DetectorConfig) -> DetectResult:
-    """Classify the image and cfg.draws noisy copies; flag on any mismatch."""
-    image = np.asarray(image, dtype=np.float32)
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(int(cfg.seed))))
-    clean_label = predict(image, weights, kind)
-    noisy_labels = []
-    for _ in range(cfg.draws):
-        noisy = image + rng.normal(0.0, cfg.sigma, image.shape)
-        noisy = np.clip(noisy, 0.0, 1.0).astype(np.float32)
-        noisy_labels.append(predict(noisy, weights, kind))
-    return DetectResult(any(l != clean_label for l in noisy_labels), clean_label, noisy_labels)
+def detect(images, clean_labels, weights: ModelWeights, kind: str,
+           cfg: DetectorConfig, seeds) -> DetectResult:
+    """Classify cfg.draws noisy copies of each image; flag it on any label mismatch.
+
+    ``images`` is a stack (B, H, W, C) with its predicted ``clean_labels``.
+    Image i's noise comes from its own stream, seeded by ``seeds[i]``, so a
+    flag does not depend on the rest of the stack; all B * draws noisy copies
+    are classified in one batched call.
+    """
+    images = np.asarray(images, dtype=np.float32)
+    if len(seeds) != len(images):
+        raise ValueError(f"{len(seeds)} seeds for {len(images)} images")
+    rngs = [np.random.Generator(np.random.PCG64(np.random.SeedSequence(int(s)))) for s in seeds]
+    noisy = [np.clip(image + rng.normal(0.0, cfg.sigma, image.shape), 0.0, 1.0)
+             for image, rng in zip(images, rngs) for _ in range(cfg.draws)]
+    labels = predict(np.stack(noisy), weights, kind).reshape(len(images), cfg.draws)
+    return DetectResult((labels != np.asarray(clean_labels)[:, None]).any(axis=1), labels)
 
 
 @dataclass
@@ -57,32 +60,23 @@ class SweepRow:
     attacked_flag_rate: float
 
 
-def _flag_rate(images, weights, kind, sigma, draws, seed, group: int) -> float:
-    flagged = 0
-    for i, image in enumerate(images):
-        sub = int(np.random.SeedSequence(
-            [int(seed), PURPOSES["detector"], group, i]).generate_state(1, np.uint64)[0])
-        cfg = DetectorConfig(sigma=sigma, draws=draws, seed=sub)
-        flagged += int(detect(image, weights, kind, cfg).flagged)
-    return flagged / len(images)
-
-
 def sweep(clean_images, attacked_images, sigmas, weights: ModelWeights,
           kind: str, seed: int, draws: int = 1) -> list[SweepRow]:
     """Flag rates over both image sets at each noise level.
 
-    Each image owns a derived noise stream, so rates are deterministic per
-    seed and independent of evaluation order or parallelism.
+    Each image set is classified clean once.  Each image owns a derived noise
+    stream per sigma, so rates are deterministic per seed and independent of
+    evaluation order or batching.
     """
     if not clean_images or not attacked_images:
         raise ValueError("both image sets must be nonempty")
+    labels = [predict(images, weights, kind) for images in (clean_images, attacked_images)]
     rows = []
     for si, sigma in enumerate(sigmas):
-        rows.append(SweepRow(
-            sigma=float(sigma),
-            clean_flag_rate=_flag_rate(clean_images, weights, kind, sigma, draws, seed,
-                                       group=2 * si),
-            attacked_flag_rate=_flag_rate(attacked_images, weights, kind, sigma, draws, seed,
-                                          group=2 * si + 1),
-        ))
+        cfg = DetectorConfig(sigma=sigma, draws=draws)
+        rates = [int(detect(images, clean, weights, kind, cfg,
+                            [derive_seed(seed, "detector", 2 * si + g, i)
+                             for i in range(len(images))]).flagged.sum()) / len(images)
+                 for g, (images, clean) in enumerate(zip((clean_images, attacked_images), labels))]
+        rows.append(SweepRow(float(sigma), *rates))
     return rows

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import ContractError, ShapeError
-from .model import embed, predict
+from .model import embed
 
 SSIM_WINDOW = 11
 SSIM_SIGMA = 1.5
@@ -92,18 +92,6 @@ def cosine(u, v) -> float:
     return float(np.clip(u @ v / (nu * nv), -1.0, 1.0))
 
 
-def match_success_rate(records, weights, kind: str) -> float:
-    """Fraction of optimized images classified as the target's true label.
-
-    Recomputes every prediction from the stored image; independent of the
-    labels cached on the records.
-    """
-    if not records:
-        raise ValueError("no records")
-    hits = sum(int(predict(r.image, weights, kind) == r.label_target_true) for r in records)
-    return hits / len(records)
-
-
 @dataclass
 class MetricsReport:
     clean_accuracy: float
@@ -141,24 +129,22 @@ class RecordMetrics:
 
 
 def per_record_metrics(records, *, items_by_id, weights, kind: str) -> list[RecordMetrics]:
-    """Image-quality and embedding-similarity metrics for each attack record."""
-    rows = []
-    for r in records:
-        x0 = items_by_id[r.source_id].image
-        xt = items_by_id[r.target_id].image
-        e_opt = embed(r.image, weights, kind)
-        rows.append(RecordMetrics(
-            source_id=r.source_id,
-            target_id=r.target_id,
-            psnr_original=psnr(x0, r.image),
-            psnr_target=psnr(xt, r.image),
-            ssim_original=ssim(x0, r.image),
-            ssim_target=ssim(xt, r.image),
-            cosine_original=cosine(e_opt, embed(x0, weights, kind)),
-            cosine_target=cosine(e_opt, embed(xt, weights, kind)),
-            label_after=r.label_after,
-        ))
-    return rows
+    """Image quality and embedding similarity per attack record; one embed per image set."""
+    sources = [items_by_id[r.source_id].image for r in records]
+    targets = [items_by_id[r.target_id].image for r in records]
+    e_opt, e_src, e_tgt = (embed(images, weights, kind).values
+                           for images in ([r.image for r in records], sources, targets))
+    return [RecordMetrics(
+        source_id=r.source_id,
+        target_id=r.target_id,
+        psnr_original=psnr(x0, r.image),
+        psnr_target=psnr(xt, r.image),
+        ssim_original=ssim(x0, r.image),
+        ssim_target=ssim(xt, r.image),
+        cosine_original=cosine(e_opt[i], e_src[i]),
+        cosine_target=cosine(e_opt[i], e_tgt[i]),
+        label_after=r.label_after,
+    ) for i, (r, x0, xt) in enumerate(zip(records, sources, targets))]
 
 
 def _mean_std_excluding_inf(values):
@@ -170,17 +156,15 @@ def _mean_std_excluding_inf(values):
     return float(arr.mean()), float(arr.std()), excluded
 
 
-def aggregate(records, clean_accuracy: float, *, items_by_id, weights, kind: str) -> MetricsReport:
-    """Dataset-level report over attack records.
+def aggregate(records, rows, clean_accuracy: float) -> MetricsReport:
+    """Dataset-level report over attack records and their per_record_metrics rows.
 
-    Needs the source/target images (by id) and the model to recompute image
-    quality and embedding similarities; label-based rates come from the
-    records themselves.  attacked_accuracy is measured over the attacked
-    subset (the records), not the full test split.
+    Image quality and embedding similarities come from the rows; label-based
+    rates come from the records themselves.  attacked_accuracy is measured
+    over the attacked subset (the records), not the full test split.
     """
-    if not records:
-        raise ValueError("no records")
-    rows = per_record_metrics(records, items_by_id=items_by_id, weights=weights, kind=kind)
+    if not records or len(rows) != len(records):
+        raise ValueError(f"need one metrics row per record, got {len(rows)} for {len(records)}")
     psnr_orig = [m.psnr_original for m in rows]
     psnr_tgt = [m.psnr_target for m in rows]
     ssim_orig = [m.ssim_original for m in rows]

@@ -21,6 +21,9 @@ import numpy as np
 from .autodiff import ShapeError, Tape, backward_to_input
 
 EMBED_KINDS = ("class_token", "mil_mean")
+# images per tape, in attack-suite chunks and forward-only calls: 4 to 16 run equally
+# fast per image, and a tape's context grows with its batch, so peak memory sets the cap
+CHUNK = 4
 
 
 @dataclass(frozen=True)
@@ -205,11 +208,11 @@ def record_forward(images: np.ndarray, weights: ModelWeights, *,
 
 
 def _forward_rows(images, weights: ModelWeights, key: str) -> np.ndarray:
-    """One forward pass; the (B, n) rows of a node, or (n,) for a single image."""
+    """One forward pass per CHUNK images; the (B, n) rows of a node, or (n,) for one image."""
     stack, single = _image_stack(images, weights.config)
-    tape, nodes = record_forward(stack, weights)
-    rows = tape.value(nodes[key])[:, 0]
-    return (rows[0] if single else rows).copy()
+    tapes = (record_forward(stack[i:i + CHUNK], weights) for i in range(0, len(stack), CHUNK))
+    rows = np.concatenate([tape.value(nodes[key])[:, 0] for tape, nodes in tapes])
+    return rows[0] if single else rows
 
 
 def embed(images: np.ndarray, weights: ModelWeights, kind: str) -> Embedding:

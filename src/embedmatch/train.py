@@ -146,11 +146,10 @@ def train(config: ModelConfig, tcfg: TrainConfig, train_items, val_items):
 
 
 def evaluate(weights: ModelWeights, items) -> dict[str, float]:
-    """Fraction of correct predictions per embedding head."""
+    """Fraction of correct predictions per embedding head, one batched predict per head."""
     if not items:
         raise ValueError("evaluation split is empty")
-    hits = dict.fromkeys(EMBED_KINDS, 0)
-    for item in items:
-        for kind in EMBED_KINDS:
-            hits[kind] += int(predict(item.image, weights, kind) == item.label)
-    return {kind: hits[kind] / len(items) for kind in EMBED_KINDS}
+    images = [item.image for item in items]
+    labels = np.array([item.label for item in items])
+    return {kind: int(np.sum(predict(images, weights, kind) == labels)) / len(items)
+            for kind in EMBED_KINDS}

@@ -131,14 +131,3 @@ def load_weights(path) -> ModelWeights:
         return ModelWeights(config, tensors)
     except ValueError as e:
         raise WeightFormatError(f"tensor set inconsistent with hparams: {e}") from None
-
-
-def file_size(config: ModelConfig) -> int:
-    """Analytic byte size of a saved weight file for this config."""
-    total = 4 + 4 + 4
-    entries = [(HPARAMS_NAME, (len(_HPARAM_FIELDS),))]
-    entries.extend(expected_shapes(config).items())
-    for name, shape in entries:
-        total += 2 + len(name.encode("utf-8")) + 1 + 4 * len(shape)
-        total += 4 * int(np.prod(shape, dtype=np.int64))
-    return total

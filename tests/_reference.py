@@ -1,11 +1,16 @@
-"""Independent float64 re-implementation of the network, used as a test oracle.
+"""Test oracles; only the tests use them, so they live outside the library.
 
-Deliberately shares no code with embedmatch.model: a straight-line numpy
-forward pass kept in 64-bit end to end, so finite-difference gradient checks
-are not limited by float32 storage noise.
+An independent float64 re-implementation of the network, which shares no
+code with embedmatch.model: a straight-line numpy forward pass kept in 64-bit
+end to end, so finite-difference gradient checks are not limited by float32
+storage noise.  Beside it: a central-difference gradient, a one-image-at-a-time
+recompute of the match success rate, and the analytic size of a weight file.
 """
 
 import numpy as np
+
+from embedmatch.model import expected_shapes, predict
+from embedmatch.weights_io import _HPARAM_FIELDS, HPARAMS_NAME
 
 LN_EPS = 1e-6
 GELU_C = 0.044715
@@ -65,3 +70,49 @@ def reference_logits(image, weights, kind):
     e = reference_embedding(image, weights, kind)
     t = weights.tensors
     return e @ t[f"head.{kind}.w"].astype(np.float64) + t[f"head.{kind}.b"].astype(np.float64)
+
+
+def finite_diff_gradient(evaluate, x: np.ndarray, h: float) -> np.ndarray:
+    """Central-difference gradient of a scalar function, accumulated in float64.
+
+    Independent of the tape machinery; used as the oracle for backward passes.
+    Non-finite evaluations propagate into the corresponding entries.
+    """
+    if h <= 0:
+        raise ValueError(f"finite_diff_gradient: h must be positive, got {h}")
+    x = np.asarray(x, dtype=np.float32)
+    grad = np.zeros(x.shape, dtype=np.float64)
+    flat = grad.reshape(-1)
+    for i in range(x.size):
+        xp = x.copy().reshape(-1)
+        xm = x.copy().reshape(-1)
+        xp[i] = np.float32(xp[i] + h)
+        xm[i] = np.float32(xm[i] - h)
+        denom = float(xp[i]) - float(xm[i])
+        fp = float(evaluate(xp.reshape(x.shape)))
+        fm = float(evaluate(xm.reshape(x.shape)))
+        flat[i] = (fp - fm) / denom
+    return grad
+
+
+def match_success_rate(records, weights, kind: str) -> float:
+    """Fraction of optimized images classified as the target's true label.
+
+    Recomputes every prediction from the stored image, one image at a time;
+    independent of the labels cached on the records.
+    """
+    if not records:
+        raise ValueError("no records")
+    hits = sum(int(predict(r.image, weights, kind) == r.label_target_true) for r in records)
+    return hits / len(records)
+
+
+def file_size(config) -> int:
+    """Analytic byte size of a saved weight file for this config."""
+    total = 4 + 4 + 4
+    entries = [(HPARAMS_NAME, (len(_HPARAM_FIELDS),))]
+    entries.extend(expected_shapes(config).items())
+    for name, shape in entries:
+        total += 2 + len(name.encode("utf-8")) + 1 + 4 * len(shape)
+        total += 4 * int(np.prod(shape, dtype=np.int64))
+    return total

@@ -13,15 +13,14 @@ import time
 import numpy as np
 import pytest
 
-from _reference import reference_matching_loss
+from _reference import finite_diff_gradient, match_success_rate, reference_matching_loss
 from conftest import random_image, tiny_config
 
 from embedmatch.attack import PRMConfig, build_pairs, prm, project, run_suite
-from embedmatch.autodiff import finite_diff_gradient
 from embedmatch.cli import main as cli_main
 from embedmatch.data import generate_synthetic
 from embedmatch.detector import sweep
-from embedmatch.metrics import aggregate, cosine, match_success_rate, psnr, ssim
+from embedmatch.metrics import aggregate, cosine, per_record_metrics, psnr, ssim
 from embedmatch.model import ModelConfig, embed, matching_loss_grad_embed, predict
 from embedmatch.pca import fit_pca
 from embedmatch.pca import project as pca_project
@@ -51,8 +50,9 @@ def suite(desk_model, desk_dataset):
     elapsed = time.monotonic() - start
     assert not failures
     clean_acc = evaluate(weights, desk_dataset["test"])
-    report = aggregate(records, clean_acc[ATTACK_KIND], items_by_id=desk_dataset["by_id"],
-                       weights=weights, kind=ATTACK_KIND)
+    rows = per_record_metrics(records, items_by_id=desk_dataset["by_id"], weights=weights,
+                              kind=ATTACK_KIND)
+    report = aggregate(records, rows, clean_acc[ATTACK_KIND])
     return {"records": records, "report": report, "clean_acc": clean_acc,
             "elapsed": elapsed, "cfg": cfg}
 

@@ -5,11 +5,11 @@ import pytest
 
 from conftest import random_image, tiny_config
 
-from embedmatch.attack import (SUITE_CHUNK, AttackError, AttackRecord, PairingError,
+from embedmatch.attack import (AttackError, AttackRecord, PairingError,
                                PRMConfig, build_pairs, prm, project, run_suite)
 from embedmatch.autodiff import ShapeError
 from embedmatch.data import LabelledImage
-from embedmatch.model import embed
+from embedmatch.model import CHUNK, embed
 from embedmatch.records_io import write_records
 from embedmatch.weights_io import init_weights
 
@@ -210,7 +210,7 @@ def _prm_pair(w, cfg, by_id, source_id, target_id):
 def test_run_suite_lockstep_equals_per_pair_prm(setup, tmp_path):
     cfg, w, rng = setup
     _, by_id, pairs = _suite_fixture(cfg, rng, n=20)
-    assert len(pairs) > 2 * SUITE_CHUNK  # several chunks, the last one partial
+    assert len(pairs) > 2 * CHUNK  # several chunks, the last one partial
     serial, serial_failures = run_suite(pairs, w, UNEVEN, by_id, workers=1)
     parallel, parallel_failures = run_suite(pairs, w, UNEVEN, by_id, workers=4)
     assert not serial_failures and not parallel_failures

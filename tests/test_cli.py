@@ -75,6 +75,33 @@ def test_non_finite_weights_is_data_error(pipeline, tmp_path, capsys):
     assert "block0.attn.qkv_w" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    ("detect", "--draws", "0"),
+    ("detect", "--sigmas", "-0.1"),
+    ("detect", "--sigmas", "0.05,nan"),
+    ("attack", "--trace-every", "0"),
+    ("attack", "--eta", "-1"),
+    ("attack", "--num-pairs", "0"),
+    ("train", "--epochs", "0"),
+    ("train", "--depth", "0"),
+])
+def test_out_of_range_flag_is_usage_error(pipeline, tmp_path, capsys, command, flag, value):
+    # corrupt weights are a data error (exit 2) once loaded, so exit 1 also
+    # shows that the flag is checked before any weights load
+    bad = tmp_path / "bad.vitw"
+    bad.write_bytes(b"XXXXgarbage")
+    out = ["--out", str(tmp_path / "out"), "--seed", "7"]
+    argv = {
+        "train": ["train", "--data", str(pipeline / "data")] + out + SMALL_TRAIN,
+        "attack": ["attack", "--weights", str(bad), "--data", str(pipeline / "data")]
+                  + out + SMALL_ATTACK,
+        "detect": ["detect"] + _analysis_args(pipeline, tmp_path / "out")[2:]
+                  + ["--weights", str(bad)],
+    }[command]
+    assert main(argv + [flag, value]) == 1
+    assert "usage error" in capsys.readouterr().err
+
+
 def test_attack_outputs_respect_epsilon(pipeline):
     records_path = pipeline / "attack" / "records.jsonl"
     records = read_records(records_path)
@@ -112,7 +139,7 @@ def test_metrics_project_detect_report(pipeline):
 
     # report values equal recomputation from the raw records (no report-only math)
     from embedmatch.data import load_dataset
-    from embedmatch.metrics import aggregate
+    from embedmatch.metrics import aggregate, per_record_metrics
     from embedmatch.train import evaluate
     from embedmatch.weights_io import load_weights
     from embedmatch.cli import _split_items
@@ -121,8 +148,9 @@ def test_metrics_project_detect_report(pipeline):
     records = read_records(pipeline / "attack" / "records.jsonl")
     _, _, test_items = _split_items(items, 7)
     clean = evaluate(weights, test_items)["mil_mean"]
-    expected = aggregate(records, clean, items_by_id={it.id: it for it in items},
-                         weights=weights, kind="mil_mean")
+    rows = per_record_metrics(records, items_by_id={it.id: it for it in items},
+                              weights=weights, kind="mil_mean")
+    expected = aggregate(records, rows, clean)
     for key, value in expected.to_dict().items():
         assert report["metrics"][key] == pytest.approx(value), key
 

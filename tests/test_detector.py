@@ -6,6 +6,8 @@ import pytest
 from conftest import random_image, tiny_config
 
 from embedmatch.detector import DetectorConfig, detect, sweep
+from embedmatch.model import CHUNK, predict
+from embedmatch.seeding import derive_seed
 from embedmatch.weights_io import init_weights
 
 
@@ -15,55 +17,68 @@ def setup():
     return cfg, init_weights(cfg, seed=7), np.random.default_rng(1)
 
 
+def _detect_one(x, w, kind, cfg, seed):
+    """The B=1 case: one image, its clean label and its seed."""
+    return detect(x[None], [predict(x, w, kind)], w, kind, cfg, [seed])
+
+
 def test_sigma_zero_never_flags(setup):
     cfg, w, rng = setup
-    for _ in range(5):
-        result = detect(random_image(rng, cfg), w, "class_token",
-                        DetectorConfig(sigma=0.0, draws=3, seed=4))
-        assert not result.flagged
-        assert result.noisy_labels == [result.clean_label] * 3
+    images = np.stack([random_image(rng, cfg) for _ in range(5)])
+    clean = predict(images, w, "class_token")
+    result = detect(images, clean, w, "class_token", DetectorConfig(sigma=0.0, draws=3),
+                    seeds=range(5))
+    assert not result.flagged.any()
+    assert (result.noisy_labels == clean[:, None]).all()
+    assert result.noisy_labels.shape == (5, 3)
 
 
 def test_constant_logits_model_never_flags(setup):
     cfg, w, rng = setup
     w.tensors["head.mil_mean.w"] = np.zeros_like(w.tensors["head.mil_mean.w"])
     w.tensors["head.mil_mean.b"] = np.zeros_like(w.tensors["head.mil_mean.b"])
-    for _ in range(5):
-        result = detect(random_image(rng, cfg), w, "mil_mean",
-                        DetectorConfig(sigma=0.3, draws=4, seed=0))
-        assert not result.flagged
-        assert result.clean_label == 0  # tie broken to lowest index
+    images = np.stack([random_image(rng, cfg) for _ in range(5)])
+    clean = predict(images, w, "mil_mean")
+    assert (clean == 0).all()  # tie broken to lowest index
+    result = detect(images, clean, w, "mil_mean", DetectorConfig(sigma=0.3, draws=4),
+                    seeds=[0] * 5)
+    assert not result.flagged.any()
 
 
 def test_detect_deterministic_per_seed(setup):
     cfg, w, rng = setup
     x = random_image(rng, cfg)
-    dcfg = DetectorConfig(sigma=0.1, draws=3, seed=12)
-    a = detect(x, w, "class_token", dcfg)
-    b = detect(x, w, "class_token", dcfg)
-    assert a == b
-    c = detect(x, w, "class_token", DetectorConfig(sigma=0.1, draws=3, seed=13))
-    assert isinstance(c.flagged, bool)
+    dcfg = DetectorConfig(sigma=0.1, draws=3)
+    a = _detect_one(x, w, "class_token", dcfg, 12)
+    b = _detect_one(x, w, "class_token", dcfg, 12)
+    assert a.flagged.tobytes() == b.flagged.tobytes()
+    assert a.noisy_labels.tobytes() == b.noisy_labels.tobytes()
+    c = _detect_one(x, w, "class_token", dcfg, 13)
+    assert c.flagged.shape == (1,)
 
 
 def test_draws_are_nested_streams(setup):
     # the k-draw label list starts with the 1-draw label: any 1-draw flag
     # implies the k-draw flag
     cfg, w, rng = setup
-    for k in range(10):
-        x = random_image(rng, cfg)
-        one = detect(x, w, "mil_mean", DetectorConfig(sigma=0.2, draws=1, seed=k))
-        many = detect(x, w, "mil_mean", DetectorConfig(sigma=0.2, draws=4, seed=k))
-        assert many.noisy_labels[0] == one.noisy_labels[0]
-        if one.flagged:
-            assert many.flagged
+    images = np.stack([random_image(rng, cfg) for _ in range(10)])
+    clean = predict(images, w, "mil_mean")
+    one = detect(images, clean, w, "mil_mean", DetectorConfig(sigma=0.2, draws=1), range(10))
+    many = detect(images, clean, w, "mil_mean", DetectorConfig(sigma=0.2, draws=4), range(10))
+    assert (many.noisy_labels[:, 0] == one.noisy_labels[:, 0]).all()
+    assert (many.flagged >= one.flagged).all()
 
 
-def test_config_validation():
-    with pytest.raises(ValueError):
-        DetectorConfig(sigma=-0.1)
+def test_config_validation(setup):
+    for sigma in (-0.1, float("nan")):
+        with pytest.raises(ValueError):
+            DetectorConfig(sigma=sigma)
     with pytest.raises(ValueError):
         DetectorConfig(draws=0)
+    cfg, w, rng = setup
+    images = np.stack([random_image(rng, cfg) for _ in range(2)])
+    with pytest.raises(ValueError):
+        detect(images, [0, 0], w, "mil_mean", DetectorConfig(), seeds=[1])
 
 
 def test_sweep_sigma_zero_rates_zero(setup):
@@ -91,3 +106,26 @@ def test_sweep_rejects_empty(setup):
     cfg, w, rng = setup
     with pytest.raises(ValueError):
         sweep([], [random_image(rng, cfg)], [0.1], w, "class_token", seed=0)
+
+
+def test_sweep_rates_equal_per_image_detect_flags(setup):
+    # sweep batches each image set; a lone detect per image with the same
+    # derived seed must flag the same images
+    cfg, w, rng = setup
+    n = 2 * CHUNK + 1  # several forward chunks, the last one partial
+    clean = [random_image(rng, cfg) for _ in range(n)]
+    attacked = [np.clip(x + rng.normal(0.0, 0.2, x.shape), 0.0, 1.0).astype(np.float32)
+                for x in clean]
+    sigmas, seed, draws = [0.05, 0.3], 11, 2
+    rows = sweep(clean, attacked, sigmas, w, "mil_mean", seed=seed, draws=draws)
+    flagged_any = 0
+    for si, (sigma, row) in enumerate(zip(sigmas, rows)):
+        dcfg = DetectorConfig(sigma=sigma, draws=draws)
+        for g, (images, rate) in enumerate([(clean, row.clean_flag_rate),
+                                            (attacked, row.attacked_flag_rate)]):
+            flags = [bool(_detect_one(x, w, "mil_mean", dcfg,
+                                      derive_seed(seed, "detector", 2 * si + g, i)).flagged[0])
+                     for i, x in enumerate(images)]
+            assert rate == sum(flags) / n
+            flagged_any += any(flags)
+    assert flagged_any  # some rate is nonzero, so the comparison is not vacuous

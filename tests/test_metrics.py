@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _reference import match_success_rate
 from conftest import random_image, tiny_config
 
 from embedmatch.attack import PRMConfig, build_pairs, run_suite
 from embedmatch.autodiff import ContractError, ShapeError
 from embedmatch.data import LabelledImage
-from embedmatch.metrics import (aggregate, cosine, match_success_rate,
-                                per_record_metrics, psnr, ssim)
+from embedmatch.metrics import aggregate, cosine, per_record_metrics, psnr, ssim
 from embedmatch.weights_io import init_weights
 
 settings.register_profile("ci", deadline=None)
@@ -108,6 +108,11 @@ def small_suite():
     return cfg, weights, items, by_id, records
 
 
+def _aggregate(records, clean_accuracy, by_id, weights):
+    rows = per_record_metrics(records, items_by_id=by_id, weights=weights, kind="mil_mean")
+    return aggregate(records, rows, clean_accuracy)
+
+
 def test_match_success_rate_bounds(small_suite):
     _, weights, _, _, records = small_suite
     rate = match_success_rate(records, weights, "mil_mean")
@@ -115,8 +120,8 @@ def test_match_success_rate_bounds(small_suite):
 
 
 def test_msr_trivial_cases(small_suite):
-    _, weights, _, _, records = small_suite
-    # force label_after to match / mismatch and compare against aggregate's rate
+    _, weights, _, by_id, records = small_suite
+    # force label_after to match / mismatch; aggregate's rate reads the labels
     import copy
     hits = copy.deepcopy(records)
     for r in hits:
@@ -124,14 +129,13 @@ def test_msr_trivial_cases(small_suite):
     misses = copy.deepcopy(records)
     for r in misses:
         r.label_after = r.label_target_true + 1
-    assert sum(r.label_after == r.label_target_true for r in hits) == len(hits)
-    assert sum(r.label_after == r.label_target_true for r in misses) == 0
+    assert _aggregate(hits, 1.0, by_id, weights).msr == 1.0
+    assert _aggregate(misses, 1.0, by_id, weights).msr == 0.0
 
 
 def test_aggregate_fields_and_bounds(small_suite):
     _, weights, _, by_id, records = small_suite
-    report = aggregate(records, clean_accuracy=0.9, items_by_id=by_id,
-                       weights=weights, kind="mil_mean")
+    report = _aggregate(records, 0.9, by_id, weights)
     assert report.n_records == len(records)
     assert 0.0 <= report.attacked_accuracy <= 1.0
     assert 0.0 <= report.msr <= 1.0
@@ -145,17 +149,15 @@ def test_aggregate_fields_and_bounds(small_suite):
 
 def test_aggregate_msr_equals_bruteforce_recompute(small_suite):
     _, weights, _, by_id, records = small_suite
-    report = aggregate(records, clean_accuracy=1.0, items_by_id=by_id,
-                       weights=weights, kind="mil_mean")
+    report = _aggregate(records, 1.0, by_id, weights)
     assert report.msr == match_success_rate(records, weights, "mil_mean")
 
 
 def test_aggregate_single_record_equals_its_values(small_suite):
     _, weights, _, by_id, records = small_suite
     one = records[:1]
-    report = aggregate(one, clean_accuracy=0.5, items_by_id=by_id,
-                       weights=weights, kind="mil_mean")
     row = per_record_metrics(one, items_by_id=by_id, weights=weights, kind="mil_mean")[0]
+    report = aggregate(one, [row], clean_accuracy=0.5)
     if math.isfinite(row.psnr_original):
         assert report.mean_psnr_original == pytest.approx(row.psnr_original)
     assert report.mean_ssim_original == pytest.approx(row.ssim_original)
@@ -165,9 +167,8 @@ def test_aggregate_single_record_equals_its_values(small_suite):
 def test_aggregate_mean_psnr_matches_manual_average(small_suite):
     _, weights, _, by_id, records = small_suite
     three = records[:3]
-    report = aggregate(three, clean_accuracy=1.0, items_by_id=by_id,
-                       weights=weights, kind="mil_mean")
     rows = per_record_metrics(three, items_by_id=by_id, weights=weights, kind="mil_mean")
+    report = aggregate(three, rows, clean_accuracy=1.0)
     finite = [m.psnr_original for m in rows if math.isfinite(m.psnr_original)]
     assert report.mean_psnr_original == pytest.approx(sum(finite) / len(finite))
 
@@ -178,14 +179,15 @@ def test_psnr_inf_excluded_from_mean(small_suite):
     tweaked = copy.deepcopy(records)
     # make one optimized image identical to its source: PSNR(original)=inf
     tweaked[0].image = by_id[tweaked[0].source_id].image.copy()
-    report = aggregate(tweaked, clean_accuracy=1.0, items_by_id=by_id,
-                       weights=weights, kind="mil_mean")
+    report = _aggregate(tweaked, 1.0, by_id, weights)
     assert report.psnr_excluded >= 1
     assert math.isfinite(report.mean_psnr_original)
 
 
 def test_aggregate_rejects_empty(small_suite):
-    _, weights, _, by_id, _ = small_suite
+    _, weights, _, by_id, records = small_suite
     with pytest.raises(ValueError):
-        aggregate([], clean_accuracy=1.0, items_by_id=by_id, weights=weights,
-                  kind="mil_mean")
+        aggregate([], [], clean_accuracy=1.0)
+    rows = per_record_metrics(records, items_by_id=by_id, weights=weights, kind="mil_mean")
+    with pytest.raises(ValueError):  # rows must pair one to one with the records
+        aggregate(records, rows[:-1], clean_accuracy=1.0)

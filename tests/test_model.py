@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _reference import reference_embedding, reference_logits
+from _reference import finite_diff_gradient, reference_embedding, reference_logits
 from conftest import random_image, tiny_config
 
-from embedmatch.autodiff import ShapeError, finite_diff_gradient
+from embedmatch.autodiff import ShapeError
 from embedmatch.model import (EMBED_KINDS, Embedding, ModelConfig, embed, logits,
                               matching_loss_grad_embed, predict)
 from embedmatch.weights_io import init_weights

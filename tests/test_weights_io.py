@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
+from _reference import file_size
 from conftest import tiny_config
 
 from embedmatch.model import ModelConfig, expected_shapes
-from embedmatch.weights_io import (WeightFormatError, file_size, init_weights,
-                                   load_weights, save_weights)
+from embedmatch.weights_io import WeightFormatError, init_weights, load_weights, save_weights
 
 
 def test_same_seed_bitwise_identical():
