@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import ShapeError
-from .model import (CHUNK, EMBED_KINDS, Embedding, ModelWeights, embed,
-                    matching_loss_grad_embed, predict)
+from .metrics import cosine
+from .model import CHUNK, EMBED_KINDS, Embedding, ModelWeights, embed, matching_loss_grad_embed
 
 RELATIVE_CONV_DEFAULT = 0.01  # threshold = 0.01 * ||target embedding|| when unset
 
@@ -91,12 +91,6 @@ def project(x_tilde: np.ndarray, x0: np.ndarray, epsilon: float) -> np.ndarray:
     return np.clip(x0 + delta, np.float32(0.0), np.float32(1.0))
 
 
-def _cosine64(u: np.ndarray, v: np.ndarray) -> float:
-    u = u.astype(np.float64)
-    v = v.astype(np.float64)
-    return float(u @ v / (np.linalg.norm(u) * np.linalg.norm(v)))
-
-
 @dataclass
 class _PairRun:
     """Per-pair state of a lockstep attack."""
@@ -108,6 +102,8 @@ class _PairRun:
     converged: bool = False
     best_loss: float = np.inf
     best_x: np.ndarray | None = None
+    label_before: int = -1
+    label_after: int = -1  # the label of best_x
     error: str | None = None
 
 
@@ -130,7 +126,7 @@ def _attack_stack(x0: np.ndarray, targets: Embedding, weights: ModelWeights, cfg
     active = np.arange(len(runs))
     x = x0.copy()
     for t in range(1, cfg.max_iters + 1):
-        losses, grads, embs = matching_loss_grad_embed(
+        losses, grads, embs, labels = matching_loss_grad_embed(
             x, Embedding(targets.values[active], targets.kind), weights, cfg.kind)
         keep = np.zeros(len(active), dtype=bool)
         for j, i in enumerate(active):
@@ -138,13 +134,18 @@ def _attack_stack(x0: np.ndarray, targets: Embedding, weights: ModelWeights, cfg
             if not np.isfinite(loss) or not np.isfinite(grads[j]).all():
                 run.error = f"non-finite loss or gradient at iteration {t}"
                 continue
+            if t == 1:
+                run.label_before = int(labels[j])
+            # fixed-step descent can end an oscillation above its starting loss; the
+            # returned image is the best evaluated iterate, so the final loss never
+            # exceeds the initial one (the trace still documents the full trajectory)
             if loss < run.best_loss:
-                run.best_loss, run.best_x = loss, x[j]
+                run.best_loss, run.best_x, run.label_after = loss, x[j], int(labels[j])
             dist = float(np.linalg.norm(embs[j].astype(np.float64) - tgt64[i]))
             hit = dist < run.tau
             if t == 1 or (t - 1) % cfg.trace_every == 0 or t == cfg.max_iters or hit:
                 run.trace.append(TracePoint(
-                    t, loss, _cosine64(embs[j], targets.values[i]),
+                    t, loss, cosine(embs[j], targets.values[i]),
                     float(np.mean(np.abs(x[j] - x0[i]), dtype=np.float64))))
             if hit:
                 run.converged, run.iterations_used = True, t
@@ -157,31 +158,19 @@ def _attack_stack(x0: np.ndarray, targets: Embedding, weights: ModelWeights, cfg
         for j, i in enumerate(active):
             runs[i].max_abs_delta = max(runs[i].max_abs_delta,
                                         float(np.max(np.abs(x[j] - x0[i]))))
-    done = [i for i, run in enumerate(runs) if run.error is None]
-    # fixed-step descent can end an oscillation above its starting loss; the
-    # returned image is the best evaluated iterate, so the final loss never
-    # exceeds the initial one (the trace still documents the full trajectory)
-    best = np.stack([runs[i].best_x for i in done]) if done else None
-    labels_before = predict(x0[done], weights, cfg.kind) if done else []
-    labels_after = predict(best, weights, cfg.kind) if done else []
-    outcomes: list = [run.error for run in runs]
-    for j, i in enumerate(done):
-        run = runs[i]
-        source_id, target_id, label_source_true, label_target_true = pairs[i]
-        outcomes[i] = AttackRecord(
-            source_id=source_id,
-            target_id=target_id,
-            image=best[j],
-            iterations_used=run.iterations_used,
-            trace=run.trace,
-            label_source_true=label_source_true,
-            label_target_true=label_target_true,
-            label_before=int(labels_before[j]),
-            label_after=int(labels_after[j]),
-            max_abs_delta=run.max_abs_delta,
-            converged=run.converged,
-        )
-    return outcomes
+    return [run.error or AttackRecord(
+        source_id=source_id,
+        target_id=target_id,
+        image=run.best_x.copy(),  # best_x is a row of its iteration's whole stack
+        iterations_used=run.iterations_used,
+        trace=run.trace,
+        label_source_true=label_source_true,
+        label_target_true=label_target_true,
+        label_before=run.label_before,
+        label_after=run.label_after,
+        max_abs_delta=run.max_abs_delta,
+        converged=run.converged,
+    ) for run, (source_id, target_id, label_source_true, label_target_true) in zip(runs, pairs)]
 
 
 def prm(x0: np.ndarray, target: Embedding, weights: ModelWeights, cfg: PRMConfig,

@@ -127,6 +127,11 @@ def _split_items(items, seed: int):
 
 def cmd_gen_data(args) -> None:
     seed = _resolve_seed(args)
+    for flag, value, least in (("--num-per-class", args.num_per_class, 1),
+                               ("--num-classes", args.num_classes, 2),
+                               ("--image-size", args.image_size, 1)):
+        if value < least:
+            raise UsageError(f"{flag} must be >= {least}, got {value}")
     out = _out_dir(args)
     items = generate_synthetic(args.num_per_class, args.num_classes, args.image_size,
                                derive_seed(seed, "synthetic"))
@@ -139,7 +144,6 @@ def cmd_train(args) -> None:
     seed = _resolve_seed(args)
     tcfg = _config(TrainConfig, epochs=args.epochs, batch_size=args.batch_size,
                    learning_rate=args.learning_rate, seed=seed)
-    out = _out_dir(args)
     items = load_dataset(_manifest_path(args.data))
     num_classes = args.num_classes or max(it.label for it in items) + 1
     first = items[0].image
@@ -147,6 +151,7 @@ def cmd_train(args) -> None:
         ModelConfig, image_size=first.shape[0], channels=first.shape[2],
         patch_size=args.patch_size, embed_dim=args.embed_dim, depth=args.depth,
         num_heads=args.num_heads, mlp_ratio=args.mlp_ratio, num_classes=num_classes)
+    out = _out_dir(args)
     train_items, val_items, _ = _split_items(items, seed)
     weights, history = train(config, tcfg, train_items, val_items)
     weights_path = out / "weights.vitw"
@@ -184,6 +189,14 @@ def cmd_attack(args) -> None:
           f"-> {records_path}")
 
 
+def _check_record_ids(records, items) -> None:
+    """The first image a record names that the dataset lacks is a data error."""
+    ids = {it.id for it in items}
+    missing = next((i for r in records for i in (r.source_id, r.target_id) if i not in ids), None)
+    if missing is not None:
+        raise ManifestError(f"records name image {missing!r}, which is not in the dataset")
+
+
 def _context_from_args(args):
     """Weights, dataset items and embedding kind shared by the analysis commands."""
     weights = load_weights(_require(args.weights, "--weights"))
@@ -191,6 +204,7 @@ def _context_from_args(args):
     records = read_records(_require(args.records, "--records"))
     if not records:
         raise UsageError(f"--records: no records in {args.records}")
+    _check_record_ids(records, items)
     return weights, items, records, KIND_FLAGS[args.kind]
 
 
@@ -315,6 +329,7 @@ def cmd_report(args) -> None:
     weights = load_weights(_require(attack_args["weights"], "--run (weights path)"))
     items = load_dataset(_manifest_path(attack_args["data"], "--run (data path)"))
     records = read_records(_require(run_dir / "records.jsonl", "--run (records)"))
+    _check_record_ids(records, items)
     report, _ = _analyze(weights, items, records, KIND_FLAGS[attack_args["kind"]], seed)
 
     sweep_rows = []

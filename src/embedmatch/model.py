@@ -155,8 +155,21 @@ def _check_kind(kind: str) -> str:
     return kind
 
 
-def _record_trunk(tape: Tape, x: int, wid: dict[str, int], cfg: ModelConfig) -> tuple[int, int]:
-    """Record the transformer trunk; returns (class-token, mil-mean) node ids, each (B, 1, d)."""
+def record_forward(images: np.ndarray, weights: ModelWeights, *,
+                   watch_input: bool = False, watch_weights: bool = False):
+    """Record a full forward pass of an image or a stack; returns (tape, node-id map).
+
+    The node map holds the embedding node per kind and the per-kind logits
+    nodes (``logits.<kind>``), each shaped (B, 1, n) with B=1 for a single
+    image, plus the weight leaves by name (``weights``).  With watch_input the
+    image-stack leaf is the tape root, so callers can append a loss and
+    differentiate it with respect to the images.
+    """
+    cfg = weights.config
+    stack, _ = _image_stack(images, cfg)
+    tape = Tape()
+    x = tape.input_leaf(stack) if watch_input else tape.leaf(stack)
+    wid = {name: tape.leaf(t, watch=watch_weights) for name, t in weights.tensors.items()}
     patches = tape.apply("patchify", x, patch_size=cfg.patch_size)
     tokens = tape.apply("add", tape.apply("matmul", patches, wid["patch_proj.w"]),
                         wid["patch_proj.b"])
@@ -178,28 +191,11 @@ def _record_trunk(tape: Tape, x: int, wid: dict[str, int], cfg: ModelConfig) -> 
                              wid[p + "mlp.fc2_b"])
         tokens = tape.apply("add", tokens, mlp_out)
     tokens = tape.apply("layer_norm", tokens, wid["final_norm.g"], wid["final_norm.b"])
-    cls_vec = tape.apply("slice", tokens, rows=(0, 1))
-    mil_vec = tape.apply("mean_pool", tape.apply("slice", tokens, rows=(1, cfg.num_tokens)))
-    return cls_vec, mil_vec
-
-
-def record_forward(images: np.ndarray, weights: ModelWeights, *,
-                   watch_input: bool = False, watch_weights: bool = False):
-    """Record a full forward pass of an image or a stack; returns (tape, node-id map).
-
-    The node map contains the embedding node per kind plus per-kind logits
-    nodes (``logits.<kind>``), each shaped (B, 1, n) with B=1 for a single
-    image.  The image-stack leaf is the tape root.
-    """
-    cfg = weights.config
-    stack, _ = _image_stack(images, cfg)
-    tape = Tape()
-    x = tape.input_leaf(stack) if watch_input else tape.leaf(stack)
-    if not watch_input:
-        tape.root = x
-    wid = {name: tape.leaf(t, watch=watch_weights) for name, t in weights.tensors.items()}
-    cls_vec, mil_vec = _record_trunk(tape, x, wid, cfg)
-    nodes = {"class_token": cls_vec, "mil_mean": mil_vec, "weights": wid}
+    nodes = {
+        "class_token": tape.apply("slice", tokens, rows=(0, 1)),
+        "mil_mean": tape.apply("mean_pool", tape.apply("slice", tokens, rows=(1, cfg.num_tokens))),
+        "weights": wid,
+    }
     for kind in EMBED_KINDS:
         nodes[f"logits.{kind}"] = tape.apply(
             "add", tape.apply("matmul", nodes[kind], wid[f"head.{kind}.w"]),
@@ -207,31 +203,48 @@ def record_forward(images: np.ndarray, weights: ModelWeights, *,
     return tape, nodes
 
 
-def _forward_rows(images, weights: ModelWeights, key: str) -> np.ndarray:
-    """One forward pass per CHUNK images; the (B, n) rows of a node, or (n,) for one image."""
+def outputs(images, weights: ModelWeights) -> dict[str, np.ndarray]:
+    """Both embeddings and both heads' logits of an image or a stack, in one pass.
+
+    Keys are the kinds and ``logits.<kind>``, as in record_forward's node map;
+    values are (B, n) rows, or (n,) for one image.  One tape is recorded per
+    CHUNK images, and only one is alive at a time.
+    """
     stack, single = _image_stack(images, weights.config)
-    tapes = (record_forward(stack[i:i + CHUNK], weights) for i in range(0, len(stack), CHUNK))
-    rows = np.concatenate([tape.value(nodes[key])[:, 0] for tape, nodes in tapes])
-    return rows[0] if single else rows
+    rows = {key: [] for kind in EMBED_KINDS for key in (kind, f"logits.{kind}")}
+    for i in range(0, len(stack), CHUNK):
+        tape, nodes = record_forward(stack[i:i + CHUNK], weights)
+        for key, parts in rows.items():
+            parts.append(tape.value(nodes[key])[:, 0])
+        del tape  # else it lives on while the next chunk's tape is recorded
+    return {key: np.concatenate(parts)[0] if single else np.concatenate(parts)
+            for key, parts in rows.items()}
 
 
 def embed(images: np.ndarray, weights: ModelWeights, kind: str) -> Embedding:
     """Embedding of an image (or a stack) under the chosen head; pure and deterministic."""
-    return Embedding(_forward_rows(images, weights, _check_kind(kind)), kind)
-
-
-def logits(images: np.ndarray, weights: ModelWeights, kind: str) -> np.ndarray:
-    """Classifier logits for the chosen embedding kind, (num_classes,) or (B, num_classes)."""
-    return _forward_rows(images, weights, f"logits.{_check_kind(kind)}")
+    return Embedding(outputs(images, weights)[_check_kind(kind)], kind)
 
 
 def predict(images: np.ndarray, weights: ModelWeights, kind: str):
     """Predicted class label (an int, or an int array for a stack); ties go to the lowest index."""
-    labels = np.argmax(logits(images, weights, kind), axis=-1)
+    labels = np.argmax(outputs(images, weights)[f"logits.{_check_kind(kind)}"], axis=-1)
     return int(labels) if labels.ndim == 0 else labels
 
 
-def _matching_graph(images: np.ndarray, target: Embedding, weights: ModelWeights, kind: str):
+def matching_loss_grad_embed(images: np.ndarray, target: Embedding,
+                             weights: ModelWeights, kind: str):
+    """(loss, d loss/d image, current embedding values, predicted label) in one pass.
+
+    The loss is half the squared L2 distance between the image's embedding and
+    the target embedding; the gradient comes from the recorded tape, and the
+    label is the argmax of the same tape's logits under ``kind``.  The
+    returned scalar keeps its 64-bit accumulation (the stored node is float32)
+    so finite-difference checks are not limited by output quantization.
+
+    For a stack of images and a stack of targets, returns a float64 array of
+    per-item losses and the (B, H, W, C) gradients, (B, d) embeddings and (B,) labels.
+    """
     _check_kind(kind)
     if target.kind != kind:
         raise ValueError(f"target embedding kind {target.kind!r} does not match requested {kind!r}")
@@ -240,34 +253,15 @@ def _matching_graph(images: np.ndarray, target: Embedding, weights: ModelWeights
     want = (cfg.embed_dim,) if single else (len(stack), cfg.embed_dim)
     if target.values.shape != want:
         raise ShapeError(f"target embedding has shape {target.values.shape}, expected {want}")
-    tape = Tape()
-    x = tape.input_leaf(stack)
-    wid = {name: tape.leaf(t) for name, t in weights.tensors.items()}
-    cls_vec, mil_vec = _record_trunk(tape, x, wid, cfg)
-    emb = cls_vec if kind == "class_token" else mil_vec
+    tape, nodes = record_forward(stack, weights, watch_input=True)
     tgt = tape.leaf(target.values.reshape(len(stack), 1, cfg.embed_dim))
-    diff = tape.apply("add", emb, tape.apply("scale", tgt, factor=-1.0))
+    diff = tape.apply("add", nodes[kind], tape.apply("scale", tgt, factor=-1.0))
     loss = tape.apply("scale", tape.apply("matmul", diff, diff, transpose_b=True), factor=0.5)
-    return tape, loss, diff, emb, single
-
-
-def matching_loss_grad_embed(images: np.ndarray, target: Embedding,
-                             weights: ModelWeights, kind: str):
-    """(loss, d loss/d image, current embedding values) in one pass.
-
-    The loss is half the squared L2 distance between the image's embedding and
-    the target embedding; the gradient comes from the recorded tape.  The
-    returned scalar keeps its 64-bit accumulation (the stored node is float32)
-    so finite-difference checks are not limited by output quantization.
-
-    For a stack of images and a stack of targets, returns a float64 array of
-    per-item losses, the (B, H, W, C) gradients and the (B, d) embeddings.
-    """
-    tape, loss, diff, emb, single = _matching_graph(images, target, weights, kind)
     grads = backward_to_input(tape, loss)
     d64 = tape.value(diff)[:, 0].astype(np.float64)
     losses = np.array([0.5 * float(d @ d) for d in d64])
-    embs = tape.value(emb)[:, 0].copy()
+    embs = tape.value(nodes[kind])[:, 0].copy()
+    labels = np.argmax(tape.value(nodes[f"logits.{kind}"])[:, 0], axis=-1)
     if single:
-        return float(losses[0]), grads[0], embs[0]
-    return losses, grads, embs
+        return float(losses[0]), grads[0], embs[0], int(labels[0])
+    return losses, grads, embs, labels

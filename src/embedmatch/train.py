@@ -12,9 +12,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import EMBED_KINDS, ModelConfig, ModelWeights, predict, record_forward
+from .model import EMBED_KINDS, ModelConfig, ModelWeights, outputs, record_forward
 from .seeding import derive_seed, stream
 from .weights_io import init_weights
+
+# Adam's moment decay rates and denominator guard, at Kingma & Ba's defaults
+BETA1 = 0.9
+BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 class TrainingError(RuntimeError):
@@ -26,9 +31,6 @@ class TrainConfig:
     epochs: int = 30
     batch_size: int = 32
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     seed: int = 0
 
     def __post_init__(self):
@@ -87,21 +89,20 @@ def _sample_loss_and_grads(item, weights: ModelWeights):
 
 
 class _Adam:
-    def __init__(self, names, shapes, cfg: TrainConfig):
-        self.cfg = cfg
+    def __init__(self, names, shapes, learning_rate: float):
+        self.learning_rate = learning_rate
         self.t = 0
         self.m = {n: np.zeros(shapes[n], dtype=np.float64) for n in names}
         self.v = {n: np.zeros(shapes[n], dtype=np.float64) for n in names}
 
     def step(self, weights: dict[str, np.ndarray], grads: dict[str, np.ndarray]):
-        c = self.cfg
         self.t += 1
-        bc1 = 1.0 - c.beta1**self.t
-        bc2 = 1.0 - c.beta2**self.t
+        bc1 = 1.0 - BETA1**self.t
+        bc2 = 1.0 - BETA2**self.t
         for name, g in grads.items():
-            m = self.m[name] = c.beta1 * self.m[name] + (1.0 - c.beta1) * g
-            v = self.v[name] = c.beta2 * self.v[name] + (1.0 - c.beta2) * g * g
-            update = c.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + c.adam_eps)
+            m = self.m[name] = BETA1 * self.m[name] + (1.0 - BETA1) * g
+            v = self.v[name] = BETA2 * self.v[name] + (1.0 - BETA2) * g * g
+            update = self.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
             weights[name] = (weights[name].astype(np.float64) - update).astype(np.float32)
 
 
@@ -119,7 +120,7 @@ def train(config: ModelConfig, tcfg: TrainConfig, train_items, val_items):
     weights = init_weights(config, derive_seed(tcfg.seed, "weights"))
     shuffle_rng = stream(tcfg.seed, "train")
     adam = _Adam(weights.tensors.keys(),
-                 {n: t.shape for n, t in weights.tensors.items()}, tcfg)
+                 {n: t.shape for n, t in weights.tensors.items()}, tcfg.learning_rate)
     history = TrainHistory()
     n = len(train_items)
     for epoch in range(1, tcfg.epochs + 1):
@@ -146,10 +147,10 @@ def train(config: ModelConfig, tcfg: TrainConfig, train_items, val_items):
 
 
 def evaluate(weights: ModelWeights, items) -> dict[str, float]:
-    """Fraction of correct predictions per embedding head, one batched predict per head."""
+    """Fraction of correct predictions per embedding head; one batched pass serves both."""
     if not items:
         raise ValueError("evaluation split is empty")
-    images = [item.image for item in items]
+    rows = outputs([item.image for item in items], weights)
     labels = np.array([item.label for item in items])
-    return {kind: int(np.sum(predict(images, weights, kind) == labels)) / len(items)
+    return {kind: int(np.sum(np.argmax(rows[f"logits.{kind}"], axis=-1) == labels)) / len(items)
             for kind in EMBED_KINDS}

@@ -69,7 +69,7 @@ def test_criterion_1_gradient_correctness():
         kind = "class_token" if i % 2 else "mil_mean"
         x = random_image(rng, cfg)
         target = embed(random_image(rng, cfg), weights, kind)
-        _, grad, _ = matching_loss_grad_embed(x, target, weights, kind)
+        _, grad, _, _ = matching_loss_grad_embed(x, target, weights, kind)
         fd = finite_diff_gradient(
             lambda v: reference_matching_loss(v, target.values, weights, kind), x, 1e-3)
         rel = np.linalg.norm(grad.astype(np.float64) - fd) / np.linalg.norm(fd)
@@ -228,7 +228,7 @@ def _boundary_matched(src_item, tgt_item, weights, kind=ATTACK_KIND,
     before = predict(x0, weights, kind)
     x = x0.copy()
     for _ in range(max_iters):
-        _, grad, _ = matching_loss_grad_embed(x, target, weights, kind)
+        _, grad, _, _ = matching_loss_grad_embed(x, target, weights, kind)
         nxt = project(x - np.float32(eta) * grad, x0, eps)
         if predict(nxt, weights, kind) != before:
             lo, hi = x, nxt  # label flips between these one-step neighbors

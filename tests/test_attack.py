@@ -9,7 +9,7 @@ from embedmatch.attack import (AttackError, AttackRecord, PairingError,
                                PRMConfig, build_pairs, prm, project, run_suite)
 from embedmatch.autodiff import ShapeError
 from embedmatch.data import LabelledImage
-from embedmatch.model import CHUNK, embed
+from embedmatch.model import CHUNK, ModelConfig, embed, predict
 from embedmatch.records_io import write_records
 from embedmatch.weights_io import init_weights
 
@@ -60,6 +60,16 @@ def test_prm_converges_immediately_at_own_embedding(setup):
     assert record.iterations_used == 1
     assert record.image.tobytes() == x0.tobytes()
     assert record.max_abs_delta == 0.0
+
+
+def test_prm_trace_cosine_never_exceeds_one():
+    # float64 rounding put cosine(e, e) at 1 + 2.2e-16 for about a fifth of these images
+    w = init_weights(ModelConfig(), 3)
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        x0 = random_image(rng, w.config)
+        record = prm(x0, embed(x0, w, "mil_mean"), w, PRMConfig(max_iters=3))
+        assert record.converged and -1.0 <= record.trace[0].cosine <= 1.0
 
 
 def test_prm_epsilon_zero_keeps_source(setup):
@@ -220,6 +230,9 @@ def test_run_suite_lockstep_equals_per_pair_prm(setup, tmp_path):
     assert _written(serial, tmp_path / "w1") == _written(parallel, tmp_path / "w4")
     for r, (source_id, target_id) in zip(serial, pairs):
         assert _record_key(r) == _record_key(_prm_pair(w, UNEVEN, by_id, source_id, target_id))
+        # the suite reads its labels off its own iteration tapes; predict is an independent oracle
+        assert r.label_before == predict(by_id[source_id].image, w, UNEVEN.kind)
+        assert r.label_after == predict(r.image, w, UNEVEN.kind)
 
 
 def test_run_suite_contains_non_finite_pair(setup):

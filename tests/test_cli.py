@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from embedmatch.cli import main
+from embedmatch.data import load_dataset
 from embedmatch.records_io import read_records
 from embedmatch.weights_io import load_weights, save_weights
 
@@ -84,10 +85,15 @@ def test_non_finite_weights_is_data_error(pipeline, tmp_path, capsys):
     ("attack", "--num-pairs", "0"),
     ("train", "--epochs", "0"),
     ("train", "--depth", "0"),
+    ("gen-data", "--num-per-class", "0"),
+    ("gen-data", "--num-per-class", "-2"),
+    ("gen-data", "--num-classes", "1"),
+    ("gen-data", "--image-size", "0"),
 ])
 def test_out_of_range_flag_is_usage_error(pipeline, tmp_path, capsys, command, flag, value):
     # corrupt weights are a data error (exit 2) once loaded, so exit 1 also
-    # shows that the flag is checked before any weights load
+    # shows that the flag is checked before any weights load; no output
+    # directory shows that it is checked before anything is written
     bad = tmp_path / "bad.vitw"
     bad.write_bytes(b"XXXXgarbage")
     out = ["--out", str(tmp_path / "out"), "--seed", "7"]
@@ -97,9 +103,27 @@ def test_out_of_range_flag_is_usage_error(pipeline, tmp_path, capsys, command, f
                   + out + SMALL_ATTACK,
         "detect": ["detect"] + _analysis_args(pipeline, tmp_path / "out")[2:]
                   + ["--weights", str(bad)],
+        "gen-data": ["gen-data"] + out + SMALL_GEN,
     }[command]
     assert main(argv + [flag, value]) == 1
     assert "usage error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["metrics", "detect"])
+def test_records_naming_images_missing_from_data_is_data_error(pipeline, tmp_path, capsys,
+                                                               command):
+    small = tmp_path / "small"
+    assert main(["gen-data", "--out", str(small), "--seed", "7", "--num-per-class", "2",
+                 "--num-classes", "2", "--image-size", "16"]) == 0
+    capsys.readouterr()
+    known = {it.id for it in load_dataset(small / "manifest.csv")}
+    first_missing = next(i for r in read_records(pipeline / "attack" / "records.jsonl")
+                         for i in (r.source_id, r.target_id) if i not in known)
+    argv = [command] + _analysis_args(pipeline, tmp_path / "out") + ["--data", str(small)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error") and repr(first_missing) in err
 
 
 def test_attack_outputs_respect_epsilon(pipeline):

@@ -9,8 +9,8 @@ from _reference import finite_diff_gradient, reference_embedding, reference_logi
 from conftest import random_image, tiny_config
 
 from embedmatch.autodiff import ShapeError
-from embedmatch.model import (EMBED_KINDS, Embedding, ModelConfig, embed, logits,
-                              matching_loss_grad_embed, predict)
+from embedmatch.model import (EMBED_KINDS, Embedding, ModelConfig, embed,
+                              matching_loss_grad_embed, outputs, predict)
 from embedmatch.weights_io import init_weights
 
 
@@ -74,15 +74,15 @@ def test_zero_head_gives_zero_logits(setup):
     cfg, w, rng = setup
     w.tensors["head.class_token.w"] = np.zeros_like(w.tensors["head.class_token.w"])
     w.tensors["head.class_token.b"] = np.zeros_like(w.tensors["head.class_token.b"])
-    out = logits(random_image(rng, cfg), w, "class_token")
+    out = outputs(random_image(rng, cfg), w)["logits.class_token"]
     np.testing.assert_array_equal(out, np.zeros(cfg.num_classes, np.float32))
 
 
 def test_logits_deterministic_and_match_oracle(setup):
     cfg, w, rng = setup
     x = random_image(rng, cfg)
-    a = logits(x, w, "mil_mean")
-    b = logits(x, w, "mil_mean")
+    a = outputs(x, w)["logits.mil_mean"]
+    b = outputs(x, w)["logits.mil_mean"]
     assert a.tobytes() == b.tobytes()
     # brute-force linear algebra on the embedding
     e = embed(x, w, "mil_mean").values.astype(np.float64)
@@ -111,7 +111,7 @@ def test_matching_loss_at_own_embedding_is_zero(setup):
     cfg, w, rng = setup
     x = random_image(rng, cfg)
     for kind in EMBED_KINDS:
-        loss, grad, _ = matching_loss_grad_embed(x, embed(x, w, kind), w, kind)
+        loss, grad, _, _ = matching_loss_grad_embed(x, embed(x, w, kind), w, kind)
         assert loss < 1e-10
         assert np.max(np.abs(grad)) < 1e-6
 
@@ -120,7 +120,7 @@ def test_matching_loss_is_half_squared_distance(setup):
     cfg, w, rng = setup
     x = random_image(rng, cfg)
     target = embed(random_image(rng, cfg), w, "mil_mean")
-    loss, _, emb = matching_loss_grad_embed(x, target, w, "mil_mean")
+    loss, _, emb, _ = matching_loss_grad_embed(x, target, w, "mil_mean")
     d = emb.astype(np.float64) - target.values.astype(np.float64)
     assert abs(loss - 0.5 * float(d @ d)) < 1e-9 * max(1.0, loss)
 
@@ -130,7 +130,7 @@ def test_matching_loss_nonnegative(setup):
     for _ in range(10):
         x = random_image(rng, cfg)
         target = embed(random_image(rng, cfg), w, "class_token")
-        loss, _, _ = matching_loss_grad_embed(x, target, w, "class_token")
+        loss, _, _, _ = matching_loss_grad_embed(x, target, w, "class_token")
         assert loss >= 0.0
 
 
@@ -140,7 +140,7 @@ def test_matching_grad_matches_finite_differences_both_kinds(setup):
     x = random_image(rng, cfg)
     for kind in EMBED_KINDS:
         target = embed(random_image(rng, cfg), w, kind)
-        _, grad, _ = matching_loss_grad_embed(x, target, w, kind)
+        _, grad, _, _ = matching_loss_grad_embed(x, target, w, kind)
         fd = finite_diff_gradient(
             lambda v: reference_matching_loss(v, target.values, w, kind), x, 1e-3)
         assert np.linalg.norm(grad.astype(np.float64) - fd) <= 1e-3 * max(np.linalg.norm(fd), 1.0)
@@ -172,22 +172,29 @@ def test_stack_equals_single_calls_bitwise(config, b, seed):
     rng = np.random.default_rng(seed)
     w = init_weights(config, seed=seed % 97)
     images = np.stack([random_image(rng, config) for _ in range(b)])
+    rows = outputs(images, w)
+    assert sorted(rows) == sorted(EMBED_KINDS + tuple(f"logits.{k}" for k in EMBED_KINDS))
+    singles = [outputs(x, w) for x in images]
+    for key, stacked_rows in rows.items():
+        assert stacked_rows.shape[0] == b
+        assert stacked_rows.tobytes() == np.stack([s[key] for s in singles]).tobytes()
     for kind in EMBED_KINDS:
         stacked = embed(images, w, kind)
         assert stacked.values.shape == (b, config.embed_dim)
-        singles = [embed(x, w, kind).values for x in images]
-        assert stacked.values.tobytes() == np.stack(singles).tobytes()
+        assert stacked.values.tobytes() == rows[kind].tobytes()
         labels = predict(images, w, kind)
         assert [int(v) for v in labels] == [predict(x, w, kind) for x in images]
         targets = Embedding(stacked.values[::-1].copy(), kind)
-        losses, grads, embs = matching_loss_grad_embed(images, targets, w, kind)
+        losses, grads, embs, step_labels = matching_loss_grad_embed(images, targets, w, kind)
         assert grads.shape == images.shape and embs.shape == (b, config.embed_dim)
+        assert step_labels.tolist() == labels.tolist()
         for i, x in enumerate(images):
-            loss, grad, emb = matching_loss_grad_embed(
+            loss, grad, emb, label = matching_loss_grad_embed(
                 x, Embedding(targets.values[i], kind), w, kind)
             assert loss == losses[i]
             assert grad.tobytes() == grads[i].tobytes()
             assert emb.tobytes() == embs[i].tobytes()
+            assert label == step_labels[i] == predict(x, w, kind)
 
 
 def test_stack_target_shape_must_match(setup):
