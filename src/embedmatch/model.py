@@ -62,10 +62,6 @@ class ModelConfig:
         return self.patch_size * self.patch_size * self.channels
 
     @property
-    def head_dim(self) -> int:
-        return self.embed_dim // self.num_heads
-
-    @property
     def mlp_dim(self) -> int:
         return self.embed_dim * self.mlp_ratio
 

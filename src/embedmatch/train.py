@@ -1,9 +1,9 @@
 """Training loop for the tiny ViT: joint cross-entropy over both heads, Adam.
 
-Gradients with respect to the weights reuse the attack tape machinery; the
-cross-entropy gradient is seeded analytically at each logits node as
-softmax(logits) - onehot(label).  Single-threaded and bit-reproducible for a
-fixed seed.
+Gradients with respect to the weights reuse the attack tape machinery, one
+tape per model.CHUNK samples of a minibatch; the cross-entropy gradient is
+seeded analytically at each logits node as softmax(logits) - onehot(label).
+Single-threaded and bit-reproducible for a fixed seed.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import EMBED_KINDS, ModelConfig, ModelWeights, outputs, record_forward
+from .model import CHUNK, EMBED_KINDS, ModelConfig, ModelWeights, outputs, record_forward
 from .seeding import derive_seed, stream
 from .weights_io import init_weights
 
@@ -62,30 +62,39 @@ class TrainHistory:
             fh.write("\n".join(lines) + "\n")
 
 
-def _softmax64(logits: np.ndarray) -> np.ndarray:
-    e = np.exp(logits.astype(np.float64) - float(logits.max()))
-    return e / e.sum()
+def _batch_loss_and_grads(batch, weights: ModelWeights):
+    """Per-item cross-entropy of both heads, plus weight gradients summed over the batch.
 
-
-def _sample_loss_and_grads(item, weights: ModelWeights):
-    """Cross-entropy of both heads for one sample, plus weight gradients."""
-    tape, nodes = record_forward(item.image, weights, watch_weights=True)
-    seeds = {}
-    loss = 0.0
-    for kind in EMBED_KINDS:
-        nid = nodes[f"logits.{kind}"]
-        p = _softmax64(tape.value(nid)[0, 0])
-        loss -= float(np.log(max(p[item.label], 1e-300)))
-        seed = p.copy()
-        seed[item.label] -= 1.0
-        seeds[nid] = seed.reshape(1, 1, -1)
-    leaf_grads = tape.backward(seeds)
-    by_name = {}
-    for name, nid in nodes["weights"].items():
-        g = leaf_grads.get(nid)
-        if g is not None:
-            by_name[name] = g
-    return loss, by_name
+    One tape is recorded per CHUNK items.  Each logits node is seeded with
+    its rows' softmax - onehot(label); the batched primitives sum a shared
+    weight's gradient over the chunk, and chunks are added in order.
+    """
+    losses: list[float] = []
+    acc: dict[str, np.ndarray] = {}
+    for i in range(0, len(batch), CHUNK):
+        chunk = batch[i:i + CHUNK]
+        tape, nodes = record_forward(np.stack([it.image for it in chunk]), weights,
+                                     watch_weights=True)
+        rows, labels = np.arange(len(chunk)), np.array([it.label for it in chunk])
+        loss = np.zeros(len(chunk))
+        seeds = {}
+        for kind in EMBED_KINDS:
+            nid = nodes[f"logits.{kind}"]
+            logits = tape.value(nid)[:, 0].astype(np.float64)
+            e = np.exp(logits - logits.max(axis=1, keepdims=True))
+            p = e / e.sum(axis=1, keepdims=True)
+            loss -= np.log(np.maximum(p[rows, labels], 1e-300))
+            p[rows, labels] -= 1.0
+            seeds[nid] = p[:, None, :]
+        leaf_grads = tape.backward(seeds)
+        for name, nid in nodes["weights"].items():  # every weight reaches both heads
+            if name in acc:
+                acc[name] += leaf_grads[nid]
+            else:
+                acc[name] = leaf_grads[nid]
+        losses.extend(loss.tolist())
+        del tape, leaf_grads  # else they live on while the next chunk is recorded
+    return losses, acc
 
 
 class _Adam:
@@ -114,8 +123,8 @@ def train(config: ModelConfig, tcfg: TrainConfig, train_items, val_items):
     """
     if not train_items:
         raise ValueError("training split is empty")
-    for it in train_items:
-        if it.label >= config.num_classes:
+    for it in (*train_items, *val_items):
+        if not 0 <= it.label < config.num_classes:
             raise ValueError(f"label {it.label} of {it.id!r} out of range")
     weights = init_weights(config, derive_seed(tcfg.seed, "weights"))
     shuffle_rng = stream(tcfg.seed, "train")
@@ -128,13 +137,10 @@ def train(config: ModelConfig, tcfg: TrainConfig, train_items, val_items):
         epoch_loss = 0.0
         for start in range(0, n, tcfg.batch_size):
             batch = [train_items[i] for i in order[start:start + tcfg.batch_size]]
-            acc: dict[str, np.ndarray] = {}
+            losses, acc = _batch_loss_and_grads(batch, weights)
             batch_loss = 0.0
-            for item in batch:
-                loss, grads = _sample_loss_and_grads(item, weights)
+            for loss in losses:
                 batch_loss += loss
-                for name, g in grads.items():
-                    acc[name] = acc[name] + g if name in acc else g
             if not np.isfinite(batch_loss):
                 raise TrainingError(f"non-finite training loss at epoch {epoch}")
             scale = 1.0 / len(batch)

@@ -11,6 +11,7 @@ file is self-describing; everything else is a parameter tensor.
 
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 
@@ -62,7 +63,11 @@ def _config_from_tensor(t: np.ndarray) -> ModelConfig:
 
 
 def save_weights(weights: ModelWeights, path) -> None:
-    """Write weights to the binary container, hparams tensor first."""
+    """Write weights to the binary container, hparams tensor first.
+
+    The bytes go to a temporary file beside the target, which then replaces
+    the target in one step, so a failed write leaves any earlier file intact.
+    """
     items = [(HPARAMS_NAME, _config_tensor(weights.config))]
     items.extend(weights.tensors.items())
     parts = [MAGIC, struct.pack("<II", VERSION, len(items))]
@@ -73,7 +78,15 @@ def save_weights(weights: ModelWeights, path) -> None:
         parts.append(struct.pack("<B", arr.ndim))
         parts.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
         parts.append(np.ascontiguousarray(arr, dtype="<f4").tobytes())
-    Path(path).write_bytes(b"".join(parts))
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(b"".join(parts))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 class _Reader:

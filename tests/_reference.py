@@ -42,7 +42,7 @@ def reference_embedding(image, weights, kind):
     patches = x.reshape(g, ps, g, ps, c).transpose(0, 2, 1, 3, 4).reshape(g * g, ps * ps * c)
     tokens = np.vstack([t["cls_token"], patches @ t["patch_proj.w"] + t["patch_proj.b"]])
     tokens = tokens + t["pos_embed"]
-    d, dh = cfg.embed_dim, cfg.head_dim
+    d, dh = cfg.embed_dim, cfg.embed_dim // cfg.num_heads
     for i in range(cfg.depth):
         p = f"block{i}."
         h = _layer_norm(tokens, t[p + "attn_norm.g"], t[p + "attn_norm.b"])

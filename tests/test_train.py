@@ -6,7 +6,8 @@ import pytest
 from conftest import random_image, tiny_config
 
 from embedmatch.data import LabelledImage
-from embedmatch.train import TrainConfig, TrainingError, evaluate, train
+from embedmatch.model import CHUNK
+from embedmatch.train import TrainConfig, TrainingError, _batch_loss_and_grads, evaluate, train
 from embedmatch.weights_io import init_weights
 
 
@@ -41,6 +42,37 @@ def test_different_seed_changes_weights():
     assert any(wa.tensors[n].tobytes() != wb.tensors[n].tobytes() for n in wa.tensors)
 
 
+@pytest.mark.parametrize("size", [1, CHUNK, CHUNK + 1])
+def test_chunked_step_equals_single_sample_steps(size):
+    cfg = tiny_config()
+    weights = init_weights(cfg, 4)
+    items = _tiny_items(size, cfg, seed=3)
+    losses, grads = _batch_loss_and_grads(items, weights)
+    singles = [_batch_loss_and_grads([it], weights) for it in items]
+    # a row's forward and loss do not depend on its chunk
+    assert np.array(losses).tobytes() == np.array([s[0][0] for s in singles]).tobytes()
+    # only the order in which shared-weight gradients are summed differs
+    assert grads.keys() == singles[0][1].keys()
+    for name, g in grads.items():
+        expect = singles[0][1][name]
+        for _, single in singles[1:]:
+            expect = expect + single[name]
+        assert np.max(np.abs(g - expect)) <= 1e-10 * np.max(np.abs(expect)), name
+
+
+@pytest.mark.parametrize("batch_size", [CHUNK - 1, CHUNK + 2])
+def test_uneven_batch_sizes_reproducible(batch_size):
+    cfg = tiny_config()
+    items = _tiny_items(7, cfg)
+    tcfg = TrainConfig(epochs=2, batch_size=batch_size, seed=4)
+    wa, ha = train(cfg, tcfg, items, items[:2])
+    wb, hb = train(cfg, tcfg, items, items[:2])
+    assert all(np.isfinite(s.train_loss) for s in ha.epochs)
+    assert [s.train_loss for s in ha.epochs] == [s.train_loss for s in hb.epochs]
+    for name in wa.tensors:
+        assert wa.tensors[name].tobytes() == wb.tensors[name].tobytes(), name
+
+
 def test_losses_finite_throughout():
     cfg = tiny_config()
     items = _tiny_items(6, cfg)
@@ -60,10 +92,14 @@ def test_rejects_empty_or_out_of_range():
     cfg = tiny_config()
     with pytest.raises(ValueError):
         train(cfg, TrainConfig(epochs=1, seed=0), [], [])
-    bad = _tiny_items(2, cfg)
-    bad[1].label = cfg.num_classes
-    with pytest.raises(ValueError):
-        train(cfg, TrainConfig(epochs=1, seed=0), bad, bad)
+    for label in (cfg.num_classes, -1):
+        bad = _tiny_items(2, cfg)
+        bad[1].label = label
+        with pytest.raises(ValueError, match="out of range"):
+            train(cfg, TrainConfig(epochs=1, seed=0), bad, bad)
+        good = _tiny_items(2, cfg)
+        with pytest.raises(ValueError, match="out of range"):
+            train(cfg, TrainConfig(epochs=1, seed=0), good, bad)
 
 
 def test_evaluate_always_class0_model():
