@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import contextlib
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,13 +44,13 @@ class PRMConfig:
     trace_every: int = 25
 
     def __post_init__(self):
-        if self.eta <= 0:
-            raise ValueError("eta must be positive")
+        if not 0 < self.eta < math.inf:  # also rejects NaN
+            raise ValueError("eta must be positive and finite")
         if not 0.0 <= self.epsilon <= 1.0:
             raise ValueError("epsilon must lie in [0, 1]")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.conv_threshold is not None and self.conv_threshold < 0:
+        if self.conv_threshold is not None and not self.conv_threshold >= 0:
             raise ValueError("conv_threshold must be >= 0")
         if self.kind not in EMBED_KINDS:
             raise ValueError(f"unknown embedding kind {self.kind!r}")

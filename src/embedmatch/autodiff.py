@@ -15,6 +15,9 @@ alone (the tests pin this, because numpy and BLAS do not promise it).  The
 gradient of a shared operand is one product over all batch rows, not a sum of
 per-item products.
 
+The one way to differentiate is :meth:`Tape.backward`, seeded at head nodes
+with gradients the caller computes analytically; no loss is recorded.
+
 Tapes are single-use, single-thread objects.  Recorded arrays are treated as
 immutable; callers must not mutate them afterwards.
 """
@@ -36,7 +39,7 @@ class ShapeError(ValueError):
 
 
 class ContractError(ValueError):
-    """An operation precondition was violated (e.g. non-scalar loss node)."""
+    """An operation precondition was violated (e.g. an unknown primitive)."""
 
 
 @dataclass
@@ -50,27 +53,20 @@ class Node:
 
 
 class Tape:
-    """Ordered record of primitive applications, rooted at one input tensor.
+    """Ordered record of primitive applications.
 
     Node ids are indices into ``nodes`` and are topologically ordered by
-    construction.  ``root`` designates the input-image leaf that
-    :func:`backward_to_input` differentiates with respect to.
+    construction.  Leaves recorded with ``watch=True`` are the ones
+    :meth:`backward` returns gradients for.
     """
 
     def __init__(self) -> None:
         self.nodes: list[Node] = []
-        self.root: int | None = None
 
     def leaf(self, value: np.ndarray, *, watch: bool = False) -> int:
         arr = np.asarray(value, dtype=np.float32)
         self.nodes.append(Node("leaf", (), arr, {}, (), watch))
         return len(self.nodes) - 1
-
-    def input_leaf(self, value: np.ndarray) -> int:
-        """Record the designated input tensor (watched, set as root)."""
-        nid = self.leaf(value, watch=True)
-        self.root = nid
-        return nid
 
     def value(self, nid: int) -> np.ndarray:
         return self.nodes[nid].value
@@ -78,9 +74,9 @@ class Tape:
     def apply(self, op: str, *inputs: int, **attrs) -> int:
         """Run one primitive forward and record it.
 
-        ``op`` is one of matmul, add, scale, layer_norm, softmax, gelu,
-        attention, patchify, mean_pool, concat, slice.  Returns the new node
-        id.  The node keeps backward context only when a gradient can reach it.
+        ``op`` is one of matmul, add, layer_norm, gelu, attention, patchify,
+        mean_pool, concat, slice.  Returns the new node id.  The node keeps
+        backward context only when a gradient can reach it.
         """
         try:
             fwd, _ = _PRIMITIVES[op]
@@ -95,6 +91,7 @@ class Tape:
     def backward(self, seeds: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
         """Propagate seed gradients to every watched leaf they reach.
 
+        Each seed is the loss gradient at one node, shaped like that node.
         Returns float64 gradients keyed by leaf node id.  Gradient flow is
         pruned at nodes whose subgraph contains no watched leaf.
         """
@@ -106,7 +103,7 @@ class Tape:
                     f"backward: seed shape {g.shape} does not match node shape "
                     f"{self.nodes[nid].value.shape}"
                 )
-            grads[nid] = grads[nid] + g if nid in grads else g.copy()
+            grads[nid] = g.copy()
         leaf_grads: dict[int, np.ndarray] = {}
         for nid in range(len(self.nodes) - 1, -1, -1):
             g = grads.pop(nid, None)
@@ -126,25 +123,6 @@ class Tape:
                     continue
                 grads[i] = grads[i] + gi if i in grads else gi
         return leaf_grads
-
-
-def backward_to_input(tape: Tape, loss_node: int) -> np.ndarray:
-    """Gradient of a loss node with respect to the tape's root input.
-
-    The loss node holds one scalar per batch item (shape (..., 1, 1)); every
-    item's gradient is that of its own loss, since batch items do not mix.
-    """
-    value = tape.value(loss_node)
-    if value.ndim < 2 or value.shape[-2:] != (1, 1):
-        raise ContractError(
-            f"backward_to_input: loss node has shape {value.shape}, expected a scalar per item")
-    if tape.root is None:
-        raise ContractError("backward_to_input: tape has no designated input node")
-    grads = tape.backward({loss_node: np.ones_like(value, dtype=np.float64)})
-    g = grads.get(tape.root)
-    if g is None:
-        g = np.zeros_like(tape.value(tape.root), dtype=np.float64)
-    return g.astype(np.float32)
 
 
 # ---------------------------------------------------------------------------
@@ -173,35 +151,16 @@ def _sum_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 def _fwd_matmul(attrs, arrays):
     a, b = arrays
-    tb = bool(attrs.get("transpose_b", False))
-    if a.ndim < 2 or b.ndim < 2 or (b.ndim > 2 and b.shape[:-2] != a.shape[:-2]):
-        raise ShapeError(
-            f"matmul: expected (..., m, k) with (k, n) or equal batch dims, got {a.shape} and "
-            f"{b.shape}")
-    inner = b.shape[-1] if tb else b.shape[-2]
-    if a.shape[-1] != inner:
-        raise ShapeError(
-            f"matmul: inner dims differ, {a.shape} @ {b.shape}"
-            + (" with transpose_b" if tb else "")
-        )
-    b64 = _f64(b)
-    out = _f64(a) @ (_mT(b64) if tb else b64)
-    return out.astype(np.float32), ()
+    if a.ndim < 2 or b.ndim != 2 or a.shape[-1] != b.shape[0]:
+        raise ShapeError(f"matmul: expected (..., m, k) @ (k, n), got {a.shape} @ {b.shape}")
+    return (_f64(a) @ _f64(b)).astype(np.float32), ()
 
 
 def _vjp_matmul(attrs, ctx, g, arrays, need):
     a, b = arrays
-    tb = bool(attrs.get("transpose_b", False))
-    ga = gb = None
-    if need[0]:
-        b64 = _f64(b)
-        ga = g @ b64 if tb else g @ _mT(b64)
-    if need[1]:
-        a64 = _f64(a)
-        if b.ndim < a.ndim:  # shared operand: one product over every batch row
-            a64 = a64.reshape(-1, a.shape[-1])
-            g = g.reshape(-1, g.shape[-1])
-        gb = _mT(g) @ a64 if tb else _mT(a64) @ g
+    ga = g @ _f64(b).T if need[0] else None
+    # b is shared by every batch item: one product over every batch row
+    gb = _f64(a).reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1]) if need[1] else None
     return ga, gb
 
 
@@ -215,15 +174,6 @@ def _fwd_add(attrs, arrays):
 def _vjp_add(attrs, ctx, g, arrays, need):
     return (g if need[0] else None,
             _sum_to(g, arrays[1].shape) if need[1] else None)
-
-
-def _fwd_scale(attrs, arrays):
-    (a,) = arrays
-    return a * np.float32(attrs["factor"]), ()
-
-
-def _vjp_scale(attrs, ctx, g, arrays, need):
-    return (g * float(attrs["factor"]) if need[0] else None,)
 
 
 def _fwd_layer_norm(attrs, arrays):
@@ -267,18 +217,6 @@ def _softmax64(x: np.ndarray) -> np.ndarray:
 
 def _softmax_vjp(s: np.ndarray, g: np.ndarray) -> np.ndarray:
     return s * (g - (g * s).sum(axis=-1, keepdims=True))
-
-
-def _fwd_softmax(attrs, arrays):
-    (x,) = arrays
-    if x.ndim < 2:
-        raise ShapeError(f"softmax: expected input (..., m, n), got {x.shape}")
-    s = _softmax64(x)
-    return s.astype(np.float32), (s,)
-
-
-def _vjp_softmax(attrs, ctx, g, arrays, need):
-    return (_softmax_vjp(ctx[0], g) if need[0] else None,)
 
 
 def _fwd_gelu(attrs, arrays):
@@ -427,9 +365,7 @@ def _vjp_slice(attrs, ctx, g, arrays, need):
 _PRIMITIVES = {
     "matmul": (_fwd_matmul, _vjp_matmul),
     "add": (_fwd_add, _vjp_add),
-    "scale": (_fwd_scale, _vjp_scale),
     "layer_norm": (_fwd_layer_norm, _vjp_layer_norm),
-    "softmax": (_fwd_softmax, _vjp_softmax),
     "gelu": (_fwd_gelu, _vjp_gelu),
     "attention": (_fwd_attention, _vjp_attention),
     "patchify": (_fwd_patchify, _vjp_patchify),

@@ -168,8 +168,9 @@ def cmd_attack(args) -> None:
     cfg = _config(PRMConfig, eta=args.eta, epsilon=args.epsilon, max_iters=args.max_iters,
                   conv_threshold=args.conv_threshold, kind=KIND_FLAGS[args.kind],
                   trace_every=args.trace_every)
-    if args.num_pairs is not None and args.num_pairs < 1:
-        raise UsageError("--num-pairs must be >= 1")
+    for flag, value in (("--num-pairs", args.num_pairs), ("--workers", args.workers)):
+        if value is not None and value < 1:
+            raise UsageError(f"{flag} must be >= 1, got {value}")
     out = _out_dir(args)
     weights = load_weights(_require(args.weights, "--weights"))
     items = load_dataset(_manifest_path(args.data))
@@ -321,8 +322,10 @@ def _summary_text(report, attack_args, sweep_rows) -> str:
 
 def cmd_report(args) -> None:
     run_dir = _require(args.run, "--run")
-    out = Path(args.out) if args.out else run_dir
-    out.mkdir(parents=True, exist_ok=True)
+    # a path given on the command line must exist; the run directory's own files are optional
+    sweep_path = _require(args.sweep, "--sweep") if args.sweep else run_dir / "sweep.csv"
+    projections_path = (_require(args.projections, "--projections") if args.projections
+                        else run_dir / "projections.csv")
     manifest = _load_run_manifest(run_dir, "attack")
     attack_args = manifest["args"]
     seed = manifest["seed"]
@@ -333,15 +336,13 @@ def cmd_report(args) -> None:
     report, _ = _analyze(weights, items, records, KIND_FLAGS[attack_args["kind"]], seed)
 
     sweep_rows = []
-    sweep_path = args.sweep or (run_dir / "sweep.csv")
-    if Path(sweep_path).exists():
+    if sweep_path.exists():
         with open(sweep_path, newline="") as fh:
             for row in csv.DictReader(fh):
                 sweep_rows.append({"sigma": float(row["sigma"]),
                                    "clean_rate": float(row["clean_rate"]),
                                    "attacked_rate": float(row["attacked_rate"])})
-    projections_path = args.projections or (run_dir / "projections.csv")
-    projections_ref = str(projections_path) if Path(projections_path).exists() else None
+    projections_ref = str(projections_path) if projections_path.exists() else None
 
     metrics_dict = {k: (None if isinstance(v, float) and not math.isfinite(v) else v)
                     for k, v in report.to_dict().items()}
@@ -352,6 +353,8 @@ def cmd_report(args) -> None:
         "projections_csv": projections_ref,
         "records_file": str(run_dir / "records.jsonl"),
     }
+    out = Path(args.out) if args.out else run_dir
+    out.mkdir(parents=True, exist_ok=True)
     report_path = out / "report.json"
     report_path.write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n")
     summary_path = out / "summary.txt"

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import ShapeError, Tape, backward_to_input
+from .autodiff import ShapeError, Tape
 
 EMBED_KINDS = ("class_token", "mil_mean")
 # images per tape, in attack-suite chunks and forward-only calls: 4 to 16 run equally
@@ -155,16 +155,16 @@ def record_forward(images: np.ndarray, weights: ModelWeights, *,
                    watch_input: bool = False, watch_weights: bool = False):
     """Record a full forward pass of an image or a stack; returns (tape, node-id map).
 
-    The node map holds the embedding node per kind and the per-kind logits
-    nodes (``logits.<kind>``), each shaped (B, 1, n) with B=1 for a single
-    image, plus the weight leaves by name (``weights``).  With watch_input the
-    image-stack leaf is the tape root, so callers can append a loss and
-    differentiate it with respect to the images.
+    The node map holds the image-stack leaf (``image``), the embedding node
+    per kind and the per-kind logits nodes (``logits.<kind>``), each shaped
+    (B, 1, n) with B=1 for a single image, plus the weight leaves by name
+    (``weights``).  watch_input and watch_weights make those leaves watched,
+    so a backward pass seeded at the head nodes returns their gradients.
     """
     cfg = weights.config
     stack, _ = _image_stack(images, cfg)
     tape = Tape()
-    x = tape.input_leaf(stack) if watch_input else tape.leaf(stack)
+    x = tape.leaf(stack, watch=watch_input)
     wid = {name: tape.leaf(t, watch=watch_weights) for name, t in weights.tensors.items()}
     patches = tape.apply("patchify", x, patch_size=cfg.patch_size)
     tokens = tape.apply("add", tape.apply("matmul", patches, wid["patch_proj.w"]),
@@ -188,6 +188,7 @@ def record_forward(images: np.ndarray, weights: ModelWeights, *,
         tokens = tape.apply("add", tokens, mlp_out)
     tokens = tape.apply("layer_norm", tokens, wid["final_norm.g"], wid["final_norm.b"])
     nodes = {
+        "image": x,
         "class_token": tape.apply("slice", tokens, rows=(0, 1)),
         "mil_mean": tape.apply("mean_pool", tape.apply("slice", tokens, rows=(1, cfg.num_tokens))),
         "weights": wid,
@@ -232,11 +233,11 @@ def matching_loss_grad_embed(images: np.ndarray, target: Embedding,
                              weights: ModelWeights, kind: str):
     """(loss, d loss/d image, current embedding values, predicted label) in one pass.
 
-    The loss is half the squared L2 distance between the image's embedding and
-    the target embedding; the gradient comes from the recorded tape, and the
-    label is the argmax of the same tape's logits under ``kind``.  The
-    returned scalar keeps its 64-bit accumulation (the stored node is float32)
-    so finite-difference checks are not limited by output quantization.
+    The loss is half the squared L2 distance d = f(x) - f(x_tgt); d itself, its
+    gradient at the embedding, seeds the tape's backward pass to the image, and
+    the label is the argmax of the same tape's logits under ``kind``.  The
+    loss keeps its 64-bit accumulation so finite-difference checks are not
+    limited by float32 output quantization.
 
     For a stack of images and a stack of targets, returns a float64 array of
     per-item losses and the (B, H, W, C) gradients, (B, d) embeddings and (B,) labels.
@@ -250,12 +251,10 @@ def matching_loss_grad_embed(images: np.ndarray, target: Embedding,
     if target.values.shape != want:
         raise ShapeError(f"target embedding has shape {target.values.shape}, expected {want}")
     tape, nodes = record_forward(stack, weights, watch_input=True)
-    tgt = tape.leaf(target.values.reshape(len(stack), 1, cfg.embed_dim))
-    diff = tape.apply("add", nodes[kind], tape.apply("scale", tgt, factor=-1.0))
-    loss = tape.apply("scale", tape.apply("matmul", diff, diff, transpose_b=True), factor=0.5)
-    grads = backward_to_input(tape, loss)
-    d64 = tape.value(diff)[:, 0].astype(np.float64)
-    losses = np.array([0.5 * float(d @ d) for d in d64])
+    diff = tape.value(nodes[kind]) - target.values.reshape(len(stack), 1, cfg.embed_dim)
+    d64 = diff.astype(np.float64)
+    grads = tape.backward({nodes[kind]: d64})[nodes["image"]].astype(np.float32)
+    losses = np.array([0.5 * float(d @ d) for d in d64[:, 0]])
     embs = tape.value(nodes[kind])[:, 0].copy()
     labels = np.argmax(tape.value(nodes[f"logits.{kind}"])[:, 0], axis=-1)
     if single:

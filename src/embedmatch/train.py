@@ -1,13 +1,16 @@
 """Training loop for the tiny ViT: joint cross-entropy over both heads, Adam.
 
-Gradients with respect to the weights reuse the attack tape machinery, one
-tape per model.CHUNK samples of a minibatch; the cross-entropy gradient is
-seeded analytically at each logits node as softmax(logits) - onehot(label).
+Gradients with respect to the weights come from the attack's machinery, a
+record_forward tape and one Tape.backward, with one tape per model.CHUNK
+samples of a minibatch.  As the attack seeds its embedding node with
+f(x) - f(x_tgt), training seeds each logits node with the analytic
+cross-entropy gradient softmax(logits) - onehot(label).
 Single-threaded and bit-reproducible for a fixed seed.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,8 +41,8 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0 < self.learning_rate < math.inf:  # also rejects NaN
+            raise ValueError("learning_rate must be positive and finite")
 
 
 @dataclass

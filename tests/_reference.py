@@ -32,6 +32,26 @@ def _gelu(x):
     return 0.5 * x * (1.0 + np.tanh(GELU_K * (x + GELU_C * x**3)))
 
 
+def attention_per_head32(qkv, heads):
+    """Multi-head self-attention over float32 (T, 3d) rows, one head at a time.
+
+    Each step rounds to float32 where a graph of separate nodes would store
+    it: the scores, the scores times float32 1/sqrt(dh), the probabilities
+    and their product with the values.
+    """
+    qkv = np.asarray(qkv, np.float32)
+    d = qkv.shape[-1] // 3
+    dh = d // heads
+    outs = []
+    for j in range(heads):
+        q, k, v = (qkv[:, p * d + j * dh:p * d + (j + 1) * dh].astype(np.float64)
+                   for p in range(3))
+        scores = (q @ k.T).astype(np.float32) * np.float32(1.0 / np.sqrt(dh))
+        probs = _softmax_rows(scores.astype(np.float64)).astype(np.float32)
+        outs.append((probs.astype(np.float64) @ v).astype(np.float32))
+    return np.hstack(outs)
+
+
 def reference_embedding(image, weights, kind):
     """Float64 embedding of an image under the chosen head."""
     cfg = weights.config

@@ -58,7 +58,8 @@ def suite(desk_model, desk_dataset):
 
 
 def test_criterion_1_gradient_correctness():
-    """backward_to_input vs 64-bit central differences on 20 tiny models."""
+    """Matching-loss input gradient (the tape's backward pass seeded at the
+    embedding) vs 64-bit central differences on 20 tiny models."""
     start = time.monotonic()
     worst = 0.0
     for i in range(20):

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -83,7 +84,14 @@ def test_non_finite_weights_is_data_error(pipeline, tmp_path, capsys):
     ("attack", "--trace-every", "0"),
     ("attack", "--eta", "-1"),
     ("attack", "--num-pairs", "0"),
+    ("attack", "--eta", "nan"),
+    ("attack", "--eta", "inf"),
+    ("attack", "--conv-threshold", "nan"),
+    ("attack", "--workers", "0"),
+    ("attack", "--workers", "-1"),
     ("train", "--epochs", "0"),
+    ("train", "--learning-rate", "nan"),
+    ("train", "--learning-rate", "inf"),
     ("train", "--depth", "0"),
     ("gen-data", "--num-per-class", "0"),
     ("gen-data", "--num-per-class", "-2"),
@@ -177,6 +185,25 @@ def test_metrics_project_detect_report(pipeline):
     expected = aggregate(records, rows, clean)
     for key, value in expected.to_dict().items():
         assert report["metrics"][key] == pytest.approx(value), key
+
+
+@pytest.mark.parametrize("flag", ["--sweep", "--projections"])
+def test_report_path_flag_naming_missing_file_is_usage_error(pipeline, tmp_path, capsys, flag):
+    # a run directory holding only the attack's outputs: its own sweep.csv and
+    # projections.csv are optional, a path given on the command line is not
+    run = tmp_path / "run"
+    shutil.copytree(pipeline / "attack", run,
+                    ignore=shutil.ignore_patterns("sweep.csv", "projections.csv"))
+    out = tmp_path / "out"
+    assert main(["report", "--run", str(run), "--out", str(out), flag,
+                 str(tmp_path / "missing.csv")]) == 1
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["report", "--run", str(tmp_path), "--out", str(out)]) == 1  # no attack run
+    assert not out.exists()
+    assert main(["report", "--run", str(run), "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["detector_sweep"] == [] and report["projections_csv"] is None
 
 
 def test_projections_csv_shape(pipeline):
