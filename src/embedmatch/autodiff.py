@@ -3,10 +3,11 @@
 The primitive set covers exactly what the tiny vision transformer needs.
 Every primitive works on the last two axes of its operands; any axes in front
 of those are a batch axis, so a stack of B images runs through the same code
-as one image (B=1).  A 2-d operand (a weight matrix, a class token) next to a
-batched one is shared by every batch item, and its gradient sums over them.
+as one image (B=1).  An operand without the batch axis (a weight matrix, a
+bias, a class token) is shared by every batch item, and its gradient sums over
+them.
 
-Values are stored as float32; reductions (matmul inner products, means,
+Values are stored as float32; reductions (linear-layer inner products, means,
 variances, softmax normalizers) accumulate in float64 before rounding back,
 which keeps finite-difference gradient checks tight at h=1e-3.  Every batch
 item goes through the same float64 operations in the same order as a lone
@@ -74,8 +75,8 @@ class Tape:
     def apply(self, op: str, *inputs: int, **attrs) -> int:
         """Run one primitive forward and record it.
 
-        ``op`` is one of matmul, add, layer_norm, gelu, attention, patchify,
-        mean_pool, concat, slice.  Returns the new node id.  The node keeps
+        ``op`` is one of linear, add, layer_norm, gelu, attention, patchify,
+        mean_pool, concat.  Returns the new node id.  The node keeps
         backward context only when a gradient can reach it.
         """
         try:
@@ -149,19 +150,22 @@ def _sum_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g if g.shape == shape else g.reshape(-1, *shape).sum(axis=0)
 
 
-def _fwd_matmul(attrs, arrays):
-    a, b = arrays
-    if a.ndim < 2 or b.ndim != 2 or a.shape[-1] != b.shape[0]:
-        raise ShapeError(f"matmul: expected (..., m, k) @ (k, n), got {a.shape} @ {b.shape}")
-    return (_f64(a) @ _f64(b)).astype(np.float32), ()
+def _fwd_linear(attrs, arrays):
+    x, w, b = arrays
+    if x.ndim < 2 or w.ndim != 2 or x.shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
+        raise ShapeError(f"linear: expected x (..., m, k), w (k, n) and b (n,), got "
+                         f"{x.shape}, {w.shape}, {b.shape}")
+    out = (_f64(x) @ _f64(w)).astype(np.float32)
+    out += b  # in place: a second output array per call slowed forward passes (heap trimming)
+    return out, ()
 
 
-def _vjp_matmul(attrs, ctx, g, arrays, need):
-    a, b = arrays
-    ga = g @ _f64(b).T if need[0] else None
-    # b is shared by every batch item: one product over every batch row
-    gb = _f64(a).reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1]) if need[1] else None
-    return ga, gb
+def _vjp_linear(attrs, ctx, g, arrays, need):
+    x, w, b = arrays
+    gx = g @ _f64(w).T if need[0] else None
+    # w and b are shared by every batch item: one product over every batch row
+    gw = _f64(x).reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1]) if need[1] else None
+    return gx, gw, _sum_to(g, b.shape) if need[2] else None
 
 
 def _fwd_add(attrs, arrays):
@@ -309,18 +313,22 @@ def _vjp_patchify(attrs, ctx, g, arrays, need):
 
 
 def _fwd_mean_pool(attrs, arrays):
+    """Mean over rows r0..r1-1 of the second-to-last axis; one row is read out exactly."""
     (x,) = arrays
-    if x.ndim < 2 or x.shape[-2] < 1:
-        raise ShapeError(f"mean_pool: expected non-empty input (..., m, n), got {x.shape}")
-    out = _f64(x).mean(axis=-2, keepdims=True)
+    r0, r1 = attrs["rows"]
+    if x.ndim < 2 or not 0 <= r0 < r1 <= x.shape[-2]:
+        raise ShapeError(f"mean_pool: rows=({r0},{r1}) invalid for input {x.shape}")
+    out = _f64(x[..., r0:r1, :]).mean(axis=-2, keepdims=True)
     return out.astype(np.float32), ()
 
 
 def _vjp_mean_pool(attrs, ctx, g, arrays, need):
     if not need[0]:
         return (None,)
-    shape = arrays[0].shape
-    return (np.broadcast_to(g / shape[-2], shape).copy(),)
+    r0, r1 = attrs["rows"]
+    gx = np.zeros(arrays[0].shape, dtype=np.float64)
+    gx[..., r0:r1, :] = g / (r1 - r0)
+    return (gx,)
 
 
 def _fwd_concat(attrs, arrays):
@@ -343,27 +351,8 @@ def _vjp_concat(attrs, ctx, g, arrays, need):
     return tuple(out)
 
 
-def _fwd_slice(attrs, arrays):
-    (x,) = arrays
-    if x.ndim < 2:
-        raise ShapeError(f"slice: expected input (..., m, n), got {x.shape}")
-    r0, r1 = attrs["rows"]
-    if not 0 <= r0 < r1 <= x.shape[-2]:
-        raise ShapeError(f"slice: rows=({r0},{r1}) invalid for {x.shape}")
-    return x[..., r0:r1, :].copy(), ()
-
-
-def _vjp_slice(attrs, ctx, g, arrays, need):
-    if not need[0]:
-        return (None,)
-    r0, r1 = attrs["rows"]
-    gx = np.zeros(arrays[0].shape, dtype=np.float64)
-    gx[..., r0:r1, :] = g
-    return (gx,)
-
-
 _PRIMITIVES = {
-    "matmul": (_fwd_matmul, _vjp_matmul),
+    "linear": (_fwd_linear, _vjp_linear),
     "add": (_fwd_add, _vjp_add),
     "layer_norm": (_fwd_layer_norm, _vjp_layer_norm),
     "gelu": (_fwd_gelu, _vjp_gelu),
@@ -371,5 +360,4 @@ _PRIMITIVES = {
     "patchify": (_fwd_patchify, _vjp_patchify),
     "mean_pool": (_fwd_mean_pool, _vjp_mean_pool),
     "concat": (_fwd_concat, _vjp_concat),
-    "slice": (_fwd_slice, _vjp_slice),
 }

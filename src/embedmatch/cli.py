@@ -51,15 +51,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("EMBEDMATCH_SEED")
-    if env is not None:
+    seed = args.seed
+    if seed is None:
+        env = os.environ.get("EMBEDMATCH_SEED", "0")
         try:
-            return int(env)
+            seed = int(env)
         except ValueError:
             raise UsageError(f"EMBEDMATCH_SEED is not an integer: {env!r}") from None
-    return 0
+    if seed < 0:
+        raise UsageError(f"seed must be >= 0, got {seed}")
+    return seed
 
 
 def _config(cls, **fields):
@@ -145,7 +146,8 @@ def cmd_train(args) -> None:
     tcfg = _config(TrainConfig, epochs=args.epochs, batch_size=args.batch_size,
                    learning_rate=args.learning_rate, seed=seed)
     items = load_dataset(_manifest_path(args.data))
-    num_classes = args.num_classes or max(it.label for it in items) + 1
+    num_classes = (max(it.label for it in items) + 1 if args.num_classes is None
+                   else args.num_classes)
     first = items[0].image
     config = _config(
         ModelConfig, image_size=first.shape[0], channels=first.shape[2],

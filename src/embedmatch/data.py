@@ -170,6 +170,8 @@ def load_dataset(manifest_path) -> list[LabelledImage]:
     for rel, label in load_manifest(manifest_path):
         img_path = manifest_path.parent / rel
         items.append(LabelledImage(img_path.stem, load_image(img_path), label))
+    if not items:
+        raise ManifestError(f"{manifest_path}: lists no images")
     return items
 
 

@@ -129,9 +129,6 @@ class ModelWeights:
                 raise ValueError(
                     f"tensor {name!r} has shape {self.tensors[name].shape}, expected {shape}")
 
-    def __getitem__(self, name: str) -> np.ndarray:
-        return self.tensors[name]
-
 
 def _image_stack(images, config: ModelConfig) -> tuple[np.ndarray, bool]:
     """(B, H, W, C) float32 stack, and whether a single image was given."""
@@ -167,36 +164,31 @@ def record_forward(images: np.ndarray, weights: ModelWeights, *,
     x = tape.leaf(stack, watch=watch_input)
     wid = {name: tape.leaf(t, watch=watch_weights) for name, t in weights.tensors.items()}
     patches = tape.apply("patchify", x, patch_size=cfg.patch_size)
-    tokens = tape.apply("add", tape.apply("matmul", patches, wid["patch_proj.w"]),
-                        wid["patch_proj.b"])
+    tokens = tape.apply("linear", patches, wid["patch_proj.w"], wid["patch_proj.b"])
     tokens = tape.apply("concat", wid["cls_token"], tokens)
     tokens = tape.apply("add", tokens, wid["pos_embed"])
     for i in range(cfg.depth):
         p = f"block{i}."
         h = tape.apply("layer_norm", tokens, wid[p + "attn_norm.g"], wid[p + "attn_norm.b"])
-        qkv = tape.apply("add", tape.apply("matmul", h, wid[p + "attn.qkv_w"]),
-                         wid[p + "attn.qkv_b"])
+        qkv = tape.apply("linear", h, wid[p + "attn.qkv_w"], wid[p + "attn.qkv_b"])
         merged = tape.apply("attention", qkv, heads=cfg.num_heads)
-        attn_out = tape.apply("add", tape.apply("matmul", merged, wid[p + "attn.out_w"]),
-                              wid[p + "attn.out_b"])
+        attn_out = tape.apply("linear", merged, wid[p + "attn.out_w"], wid[p + "attn.out_b"])
         tokens = tape.apply("add", tokens, attn_out)
         h = tape.apply("layer_norm", tokens, wid[p + "mlp_norm.g"], wid[p + "mlp_norm.b"])
-        mid = tape.apply("gelu", tape.apply("add", tape.apply("matmul", h, wid[p + "mlp.fc1_w"]),
+        mid = tape.apply("gelu", tape.apply("linear", h, wid[p + "mlp.fc1_w"],
                                             wid[p + "mlp.fc1_b"]))
-        mlp_out = tape.apply("add", tape.apply("matmul", mid, wid[p + "mlp.fc2_w"]),
-                             wid[p + "mlp.fc2_b"])
+        mlp_out = tape.apply("linear", mid, wid[p + "mlp.fc2_w"], wid[p + "mlp.fc2_b"])
         tokens = tape.apply("add", tokens, mlp_out)
     tokens = tape.apply("layer_norm", tokens, wid["final_norm.g"], wid["final_norm.b"])
     nodes = {
         "image": x,
-        "class_token": tape.apply("slice", tokens, rows=(0, 1)),
-        "mil_mean": tape.apply("mean_pool", tape.apply("slice", tokens, rows=(1, cfg.num_tokens))),
+        "class_token": tape.apply("mean_pool", tokens, rows=(0, 1)),
+        "mil_mean": tape.apply("mean_pool", tokens, rows=(1, cfg.num_tokens)),
         "weights": wid,
     }
     for kind in EMBED_KINDS:
-        nodes[f"logits.{kind}"] = tape.apply(
-            "add", tape.apply("matmul", nodes[kind], wid[f"head.{kind}.w"]),
-            wid[f"head.{kind}.b"])
+        nodes[f"logits.{kind}"] = tape.apply("linear", nodes[kind], wid[f"head.{kind}.w"],
+                                             wid[f"head.{kind}.b"])
     return tape, nodes
 
 

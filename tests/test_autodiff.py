@@ -24,7 +24,7 @@ def _pooled_sq_grad(tape, node, wrt):
     The loss's gradient at the pooled node is the node's own value, so that
     value seeds the backward pass; the loss is never recorded on the tape.
     """
-    pooled = tape.apply("mean_pool", node)
+    pooled = tape.apply("mean_pool", node, rows=(0, tape.value(node).shape[-2]))
     return tape.backward({pooled: tape.value(pooled).astype(np.float64)})[wrt]
 
 
@@ -49,13 +49,38 @@ def test_layer_norm_constant_row_is_zero():
     np.testing.assert_array_equal(out, np.zeros((1, 4), np.float32))
 
 
-def test_matmul_identity():
+def test_linear_identity():
     rng = np.random.default_rng(0)
     a = rng.random((3, 5), dtype=np.float32)
     tape = Tape()
-    i3 = tape.leaf(np.eye(3, dtype=np.float32))
-    am = tape.leaf(a)
-    np.testing.assert_array_equal(tape.value(tape.apply("matmul", i3, am)), a)
+    ids = [tape.leaf(a), tape.leaf(np.eye(5, dtype=np.float32)), tape.leaf(np.zeros(5, np.float32))]
+    np.testing.assert_array_equal(tape.value(tape.apply("linear", *ids)), a)
+
+
+@pytest.mark.parametrize("shape", [(3, 5), (4, 3, 5)])
+def test_linear_equals_float64_product_then_float32_bias_bitwise(shape):
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal(shape).astype(np.float32)
+    w = rng.standard_normal((5, 7)).astype(np.float32)
+    b = rng.standard_normal(7).astype(np.float32)
+    want = (x.astype(np.float64) @ w.astype(np.float64)).astype(np.float32) + b
+    tape = Tape()
+    out = tape.value(tape.apply("linear", tape.leaf(x), tape.leaf(w), tape.leaf(b)))
+    assert out.dtype == np.float32 and out.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("r", [0, 2, 3])
+def test_mean_pool_of_one_row_reads_it_out_bitwise(r):
+    rng = np.random.default_rng(6)
+    x = rng.standard_normal((2, 4, 3)).astype(np.float32)
+    tape, nid = _tape_with_leaf(x)
+    pooled = tape.apply("mean_pool", nid, rows=(r, r + 1))
+    assert tape.value(pooled).tobytes() == x[:, r:r + 1].tobytes()
+    g = rng.standard_normal((2, 1, 3))
+    grad = tape.backward({pooled: g})[nid]
+    want = np.zeros(x.shape)
+    want[:, r:r + 1] = g
+    assert grad.tobytes() == want.tobytes()
 
 
 def test_backward_half_sum_squares():
@@ -78,7 +103,7 @@ def test_backward_rejects_seed_of_wrong_shape():
         tape.backward({y: np.ones((2, 1))})
 
 
-@pytest.mark.parametrize("op", ["scale", "softmax", "no_such_op"])
+@pytest.mark.parametrize("op", ["scale", "softmax", "matmul", "slice", "no_such_op"])
 def test_unknown_primitive_is_contract_error(op):
     tape, x = _tape_with_leaf([[1.0, 2.0]])
     with pytest.raises(ContractError):
@@ -119,17 +144,19 @@ def test_finite_diff_rejects_nonpositive_h():
 
 
 @pytest.mark.parametrize("op,shapes,attrs", [
-    ("matmul", [(2, 3), (2, 3)], {}),
+    ("linear", [(2, 3), (2, 3), (3,)], {}),
     ("add", [(2, 3), (3, 2)], {}),
     ("layer_norm", [(2, 3), (2,), (3,)], {}),
-    ("matmul", [(2, 3, 4), (2, 4, 5)], {}),
+    ("linear", [(2, 3, 4), (2, 4, 5), (5,)], {}),
     ("patchify", [(9, 9, 3)], {"patch_size": 4}),
-    ("mean_pool", [(4,)], {}),
+    ("mean_pool", [(4,)], {"rows": (0, 1)}),
     ("concat", [(2, 3), (2, 4)], {}),
-    ("slice", [(2, 3)], {"rows": (0, 5)}),
+    ("mean_pool", [(2, 3)], {"rows": (0, 5)}),
     ("attention", [(2, 10)], {"heads": 2}),
-    ("matmul", [(2, 3, 4), (3, 4, 2)], {}),
+    ("linear", [(2, 3, 4), (4, 2), (3,)], {}),
     ("concat", [(2, 1, 3), (3, 2, 3)], {}),
+    ("mean_pool", [(2, 3)], {"rows": (1, 1)}),
+    ("mean_pool", [(2, 3)], {"rows": (-1, 1)}),
 ])
 def test_shape_errors_name_the_primitive(op, shapes, attrs):
     tape = Tape()
@@ -171,15 +198,17 @@ small = st.integers(min_value=1, max_value=8)
 
 @settings(max_examples=20)
 @given(m=small, k=small, n=small, data=st.data())
-def test_gradcheck_matmul(m, k, n, data):
+def test_gradcheck_linear(m, k, n, data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
     x = rng.standard_normal((m, k)).astype(np.float32)
     w = rng.standard_normal((k, n)).astype(np.float32)
+    b = rng.standard_normal(n).astype(np.float32)
 
     def build(tape, nid):
-        return tape.apply("matmul", nid, tape.leaf(w))
+        return tape.apply("linear", nid, tape.leaf(w), tape.leaf(b))
 
-    _gradcheck(build, lambda v: _pool_sq64(v.astype(np.float64) @ w.astype(np.float64)), x)
+    _gradcheck(build, lambda v: _pool_sq64(v.astype(np.float64) @ w.astype(np.float64)
+                                           + b.astype(np.float64)), x)
 
 
 @settings(max_examples=15)
@@ -224,14 +253,14 @@ def test_gradcheck_patchify_and_friends(data):
 
     def build(tape, nid):
         patches = tape.apply("patchify", nid, patch_size=2)
-        top = tape.apply("slice", patches, rows=(0, 1))
-        bottom = tape.apply("slice", patches, rows=(1, 4))
+        top = tape.apply("mean_pool", patches, rows=(0, 1))
+        bottom = tape.apply("mean_pool", patches, rows=(1, 4))
         merged = tape.apply("concat", bottom, top)
         return tape.apply("add", merged, tape.leaf(bias))
 
     def f64_eval(v):
         p = v.astype(np.float64).reshape(2, 2, 2, 2, 2).transpose(0, 2, 1, 3, 4).reshape(4, 8)
-        merged = np.vstack([p[1:], p[:1]])
+        merged = np.vstack([p[1:].mean(axis=0, keepdims=True), p[:1]])
         return _pool_sq64(merged + bias.astype(np.float64))
 
     _gradcheck(build, f64_eval, x)
@@ -281,10 +310,22 @@ def _no_shared(rng, b, m, n):
     return None
 
 
+def _fixed_weight(n):
+    """A constant (n, 3) weight for the linear case whose bias is the shared operand."""
+    return np.linspace(-1.0, 1.0, 3 * n, dtype=np.float32).reshape(n, 3)
+
+
+_FIXED_BIAS = np.array([0.3, -0.2, 0.1], np.float32)
+
 _BATCHED_CASES = {
-    "matmul": (lambda n: n, lambda rng, b, m, n: rng.standard_normal((n, 3)),
-               lambda tape, x, s: tape.apply("matmul", x, s),
-               lambda item, s, b: item @ s),
+    "linear_weight": (lambda n: n, lambda rng, b, m, n: rng.standard_normal((n, 3)),
+                      lambda tape, x, s: tape.apply("linear", x, s, tape.leaf(_FIXED_BIAS)),
+                      lambda item, s, b: item @ s + _FIXED_BIAS.astype(np.float64)),
+    "linear_bias": (
+        lambda n: n, lambda rng, b, m, n: rng.standard_normal(3),
+        lambda tape, x, s: tape.apply(
+            "linear", x, tape.leaf(_fixed_weight(tape.value(x).shape[-1])), s),
+        lambda item, s, b: item @ _fixed_weight(item.shape[-1]).astype(np.float64) + s),
     "add_bias": (lambda n: n, lambda rng, b, m, n: rng.standard_normal(n),
                  lambda tape, x, s: tape.apply("add", x, s),
                  lambda item, s, b: item + s),
@@ -309,10 +350,13 @@ _BATCHED_CASES = {
     "attention": (lambda n: 6 * n, _no_shared,
                   lambda tape, x, s: tape.apply("attention", x, heads=2),
                   lambda item, s, b: _attention64(item, 2)),
-    "mean_pool": (lambda n: n, _no_shared, lambda tape, x, s: tape.apply("mean_pool", x),
+    "mean_pool": (lambda n: n, _no_shared,
+                  lambda tape, x, s: tape.apply("mean_pool", x,
+                                                rows=(0, tape.value(x).shape[-2])),
                   lambda item, s, b: item.mean(axis=0, keepdims=True)),
-    "slice": (lambda n: n, _no_shared, lambda tape, x, s: tape.apply("slice", x, rows=(0, 1)),
-              lambda item, s, b: item[:1]),
+    "mean_pool_first_row": (lambda n: n, _no_shared,
+                            lambda tape, x, s: tape.apply("mean_pool", x, rows=(0, 1)),
+                            lambda item, s, b: item[:1]),
 }
 
 
@@ -359,26 +403,29 @@ def test_gradcheck_batched_patchify(b, data):
 
 
 # shapes of each primitive's shared operands after the batched input
-_SHARED_SHAPES = {"layer_norm": [(5,), (5,)], "add": [(5,)], "concat": [(2, 5)]}
+_SHARED_SHAPES = {"linear": [(5, 5), (5,)], "layer_norm": [(5,), (5,)], "add": [(5,)],
+                  "concat": [(2, 5)]}
 
 
 @pytest.mark.parametrize("op,attrs,width", [
     ("layer_norm", {}, 5), ("gelu", {}, 5), ("attention", {"heads": 2}, 12),
-    ("mean_pool", {}, 5), ("slice", {"rows": (1, 3)}, 5),
+    ("mean_pool", {"rows": (0, 4)}, 5), ("mean_pool", {"rows": (1, 3)}, 5),
     ("add", {}, 5), ("concat", {}, 5), ("patchify", {"patch_size": 2}, 8),
+    ("linear", {}, 5),
 ])
 def test_batched_primitive_equals_items_bitwise(op, attrs, width):
-    # every primitive is followed by a shared-weight matmul, so matmul is covered too
+    # each output then goes through a linear layer with shared weights, as in the model
     rng = np.random.default_rng(1)
     x = rng.standard_normal((5, 4, 4, 2) if op == "patchify" else (5, 4, width))
     x = x.astype(np.float32)
     shared = [rng.standard_normal(s).astype(np.float32) for s in _SHARED_SHAPES.get(op, [])]
     w = rng.standard_normal((width // 3 if op == "attention" else width, 3)).astype(np.float32)
+    b = rng.standard_normal(3).astype(np.float32)
 
     def run(v):
         tape, nid = _tape_with_leaf(v)
         node = tape.apply(op, nid, *(tape.leaf(s) for s in shared), **attrs)
-        out = tape.apply("matmul", node, tape.leaf(w))
+        out = tape.apply("linear", node, tape.leaf(w), tape.leaf(b))
         return tape.value(out), _pooled_sq_grad(tape, out, nid)
 
     out, grad = run(x)
@@ -436,7 +483,7 @@ def test_primitives_preserve_finiteness(m, n, data):
     assert np.isfinite(tape.value(tape.apply("gelu", nid))).all()
     qkv = tape.leaf(np.tile(x, 3))
     assert np.isfinite(tape.value(tape.apply("attention", qkv, heads=1))).all()
-    pooled = tape.apply("mean_pool", nid)
+    pooled = tape.apply("mean_pool", nid, rows=(0, m))
     assert np.isfinite(tape.value(pooled)).all()
 
 

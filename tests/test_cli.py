@@ -93,6 +93,10 @@ def test_non_finite_weights_is_data_error(pipeline, tmp_path, capsys):
     ("train", "--learning-rate", "nan"),
     ("train", "--learning-rate", "inf"),
     ("train", "--depth", "0"),
+    ("train", "--num-classes", "0"),
+    ("train", "--seed", "-1"),
+    ("attack", "--seed", "-1"),
+    ("gen-data", "--seed", "-1"),
     ("gen-data", "--num-per-class", "0"),
     ("gen-data", "--num-per-class", "-2"),
     ("gen-data", "--num-classes", "1"),
@@ -116,6 +120,27 @@ def test_out_of_range_flag_is_usage_error(pipeline, tmp_path, capsys, command, f
     assert main(argv + [flag, value]) == 1
     assert "usage error" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_negative_seed_from_environment_is_usage_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("EMBEDMATCH_SEED", "-3")
+    assert main(["gen-data", "--out", str(tmp_path / "out")] + SMALL_GEN) == 1
+    assert "usage error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "attack"])
+def test_manifest_listing_no_images_is_data_error(pipeline, tmp_path, capsys, command):
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    (empty / "manifest.csv").write_text("path,label\n")
+    argv = {
+        "train": ["train", "--num-classes", "3"] + SMALL_TRAIN,
+        "attack": ["attack", "--weights", str(pipeline / "model" / "weights.vitw")]
+                  + SMALL_ATTACK,
+    }[command]
+    assert main(argv + ["--data", str(empty), "--out", str(tmp_path / "out")]) == 2
+    assert "lists no images" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["metrics", "detect"])

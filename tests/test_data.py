@@ -195,6 +195,13 @@ def test_bright_fraction_classifier_separates_classes():
     assert best > 0.7
 
 
+def test_dataset_listing_no_images_is_manifest_error(tmp_path):
+    path = tmp_path / "manifest.csv"
+    save_manifest([], path)
+    with pytest.raises(ManifestError, match="lists no images"):
+        load_dataset(path)
+
+
 def test_write_and_load_dataset_roundtrip(tmp_path):
     items = generate_synthetic(3, 2, 16, seed=2)
     manifest = write_dataset(items, tmp_path / "ds")
