@@ -84,7 +84,10 @@ class Tape:
         except KeyError:
             raise ContractError(f"unknown primitive {op!r}") from None
         arrays = [self.nodes[i].value for i in inputs]
-        out, ctx = fwd(attrs, arrays)
+        try:
+            out, ctx = fwd(attrs, arrays)
+        except KeyError as e:  # the only KeyError a forward raises is a missing attr
+            raise ContractError(f"{op}: missing attr {e.args[0]!r}") from None
         requires = any(self.nodes[i].requires for i in inputs)
         self.nodes.append(Node(op, tuple(inputs), out, attrs, ctx if requires else (), requires))
         return len(self.nodes) - 1

@@ -26,8 +26,8 @@ from pathlib import Path
 
 from . import __version__
 from .attack import AttackError, PairingError, PRMConfig, build_pairs, run_suite
-from .data import (ImageParseError, ManifestError, generate_synthetic, load_dataset,
-                   split, write_dataset)
+from .data import (ImageParseError, ManifestError, csv_text, generate_synthetic,
+                   load_dataset, split, write_dataset, write_file)
 from .detector import DetectorConfig, sweep
 from .metrics import aggregate, per_record_metrics
 from .model import ModelConfig, embed
@@ -97,18 +97,12 @@ def _write_run_manifest(out_dir: Path, command: str, args, seed: int, outputs) -
         "created": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "outputs": [str(p) for p in outputs],
     }
-    (out_dir / f"manifest-{command}.json").write_text(json.dumps(payload, indent=2) + "\n")
+    write_file(out_dir / f"manifest-{command}.json", json.dumps(payload, indent=2) + "\n")
 
 
 def _load_run_manifest(run_dir: Path, command: str) -> dict:
     path = _require(run_dir / f"manifest-{command}.json", "--run")
     return json.loads(path.read_text())
-
-
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
 
 
 def _split_items(items, seed: int):
@@ -133,7 +127,7 @@ def cmd_gen_data(args) -> None:
                                ("--image-size", args.image_size, 1)):
         if value < least:
             raise UsageError(f"{flag} must be >= {least}, got {value}")
-    out = _out_dir(args)
+    out = Path(args.out)
     items = generate_synthetic(args.num_per_class, args.num_classes, args.image_size,
                                derive_seed(seed, "synthetic"))
     manifest = write_dataset(items, out)
@@ -153,7 +147,7 @@ def cmd_train(args) -> None:
         ModelConfig, image_size=first.shape[0], channels=first.shape[2],
         patch_size=args.patch_size, embed_dim=args.embed_dim, depth=args.depth,
         num_heads=args.num_heads, mlp_ratio=args.mlp_ratio, num_classes=num_classes)
-    out = _out_dir(args)
+    out = Path(args.out)
     train_items, val_items, _ = _split_items(items, seed)
     weights, history = train(config, tcfg, train_items, val_items)
     weights_path = out / "weights.vitw"
@@ -173,7 +167,7 @@ def cmd_attack(args) -> None:
     for flag, value in (("--num-pairs", args.num_pairs), ("--workers", args.workers)):
         if value is not None and value < 1:
             raise UsageError(f"{flag} must be >= 1, got {value}")
-    out = _out_dir(args)
+    out = Path(args.out)
     weights = load_weights(_require(args.weights, "--weights"))
     items = load_dataset(_manifest_path(args.data))
     _, _, test_items = _split_items(items, seed)
@@ -221,16 +215,14 @@ def _analyze(weights, items, records, kind: str, seed: int):
 
 def cmd_metrics(args) -> None:
     seed = _resolve_seed(args)
-    out = _out_dir(args)
+    out = Path(args.out)
     weights, items, records, kind = _context_from_args(args)
     report, rows = _analyze(weights, items, records, kind, seed)
     metrics_path = out / "metrics.json"
-    metrics_path.write_text(json.dumps(report.to_dict(), indent=2) + "\n")
-    with (out / "per_record.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f.name for f in rows[0].__dataclass_fields__.values()])
-        for m in rows:
-            writer.writerow([getattr(m, f) for f in m.__dataclass_fields__])
+    write_file(metrics_path, json.dumps(report.to_dict(), indent=2) + "\n")
+    names = list(rows[0].__dataclass_fields__)
+    write_file(out / "per_record.csv",
+               csv_text([names] + [[getattr(m, f) for f in names] for m in rows]))
     _write_run_manifest(out, "metrics", args, seed, [metrics_path, out / "per_record.csv"])
     print(f"clean acc {report.clean_accuracy:.3f} -> attacked {report.attacked_accuracy:.3f}, "
           f"msr {report.msr:.3f}; report at {metrics_path}")
@@ -238,7 +230,7 @@ def cmd_metrics(args) -> None:
 
 def cmd_project(args) -> None:
     seed = _resolve_seed(args)
-    out = _out_dir(args)
+    out = Path(args.out)
     weights, items, records, kind = _context_from_args(args)
     _, _, test_items = _split_items(items, seed)
     basis = fit_pca(embed([it.image for it in test_items], weights, kind).values, k=6)
@@ -246,15 +238,14 @@ def cmd_project(args) -> None:
     originals, optimized, targets = (embed(images, weights, kind).values for images in (
         [by_id[r.source_id].image for r in records], [r.image for r in records],
         [by_id[r.target_id].image for r in records]))
+    table = [["id", "role"] + [f"pc{i}" for i in range(1, 7)]]
+    for r, e0, e1, et in zip(records, originals, optimized, targets):
+        for row_id, role, e in ((r.source_id, "original", e0),
+                                (f"{r.source_id}->{r.target_id}", "optimized", e1),
+                                (r.target_id, "target", et)):
+            table.append([row_id, role] + [repr(float(c)) for c in pca_project(e, basis)])
     path = out / "projections.csv"
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "role"] + [f"pc{i}" for i in range(1, 7)])
-        for r, e0, e1, et in zip(records, originals, optimized, targets):
-            for row_id, role, e in ((r.source_id, "original", e0),
-                                    (f"{r.source_id}->{r.target_id}", "optimized", e1),
-                                    (r.target_id, "target", et)):
-                writer.writerow([row_id, role] + [repr(float(c)) for c in pca_project(e, basis)])
+    write_file(path, csv_text(table))
     _write_run_manifest(out, "project", args, seed, [path])
     print(f"wrote projections for {len(records)} attack triples to {path}")
 
@@ -269,18 +260,15 @@ def cmd_detect(args) -> None:
         raise UsageError("--sigmas: empty list")
     for sigma in sigmas:
         _config(DetectorConfig, sigma=sigma, draws=args.draws)
-    out = _out_dir(args)
+    out = Path(args.out)
     weights, items, records, kind = _context_from_args(args)
     by_id = {it.id: it for it in items}
     rows = sweep([by_id[r.source_id].image for r in records], [r.image for r in records],
                  sigmas, weights, kind, derive_seed(seed, "detector"), draws=args.draws)
     path = out / "sweep.csv"
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sigma", "clean_rate", "attacked_rate"])
-        for row in rows:
-            writer.writerow([repr(row.sigma), repr(row.clean_flag_rate),
-                             repr(row.attacked_flag_rate)])
+    write_file(path, csv_text([("sigma", "clean_rate", "attacked_rate")] + [
+        (repr(row.sigma), repr(row.clean_flag_rate), repr(row.attacked_flag_rate))
+        for row in rows]))
     _write_run_manifest(out, "detect", args, seed, [path])
     best = max(rows, key=lambda r: r.attacked_flag_rate - r.clean_flag_rate)
     print(f"best margin at sigma={best.sigma}: attacked {best.attacked_flag_rate:.3f} "
@@ -356,12 +344,11 @@ def cmd_report(args) -> None:
         "records_file": str(run_dir / "records.jsonl"),
     }
     out = Path(args.out) if args.out else run_dir
-    out.mkdir(parents=True, exist_ok=True)
     report_path = out / "report.json"
-    report_path.write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n")
-    summary_path = out / "summary.txt"
-    summary_path.write_text(_summary_text(report, attack_args, sweep_rows))
-    print(summary_path.read_text())
+    write_file(report_path, json.dumps(payload, indent=2, allow_nan=False) + "\n")
+    summary = _summary_text(report, attack_args, sweep_rows)
+    write_file(out / "summary.txt", summary)
+    print(summary)
     print(f"report at {report_path}")
 
 

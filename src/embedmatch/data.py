@@ -10,6 +10,8 @@ statistics and attacks flip semantically meaningful labels.
 from __future__ import annotations
 
 import csv
+import io
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -36,6 +38,33 @@ class DatasetSplit:
     train: list[str]
     validation: list[str]
     test: list[str]
+
+
+def write_file(path, payload: str | bytes) -> None:
+    """Write a whole file, ``str`` as UTF-8 and ``bytes`` as is, creating its directory.
+
+    The payload goes to a temporary file beside the target that then replaces it in
+    one step, so a failed write leaves any earlier file intact and no partial file.
+    """
+    path = Path(path)
+    if isinstance(payload, str):
+        payload = payload.encode("utf-8")
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def csv_text(rows) -> str:
+    """Rows as ``csv.writer`` text, each line ending in CRLF."""
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +155,7 @@ def save_image(image: np.ndarray, path) -> None:
     quant = np.clip(quant, 0, 255).astype(np.uint8)
     magic = b"P6" if image.shape[2] == 3 else b"P5"
     header = b"%s\n%d %d\n255\n" % (magic, image.shape[1], image.shape[0])
-    Path(path).write_bytes(header + quant.tobytes())
+    write_file(path, header + quant.tobytes())
 
 
 # ---------------------------------------------------------------------------
@@ -156,11 +185,7 @@ def load_manifest(path) -> list[tuple[str, int]]:
 
 
 def save_manifest(entries, path) -> None:
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["path", "label"])
-        for rel, label in entries:
-            writer.writerow([rel, label])
+    write_file(path, csv_text([("path", "label"), *entries]))
 
 
 def load_dataset(manifest_path) -> list[LabelledImage]:
@@ -271,7 +296,6 @@ def generate_synthetic(num_per_class: int, num_classes: int, image_size: int,
 def write_dataset(items, out_dir) -> Path:
     """Write items as PPM files plus a manifest; returns the manifest path."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     entries = []
     for item in items:
         name = f"{item.id}.ppm"

@@ -14,7 +14,7 @@ one, and each item of a stack gets bitwise the result it would get alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -38,10 +38,9 @@ class ModelConfig:
     num_classes: int = 3
 
     def __post_init__(self):
-        for name in ("image_size", "channels", "patch_size", "embed_dim",
-                     "depth", "num_heads", "mlp_ratio", "num_classes"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"ModelConfig.{name} must be >= 1")
+        for f in fields(self):
+            if getattr(self, f.name) < 1:
+                raise ValueError(f"ModelConfig.{f.name} must be >= 1")
         if self.image_size % self.patch_size:
             raise ValueError(
                 f"image_size {self.image_size} not divisible by patch_size {self.patch_size}")

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .attack import AttackRecord, TracePoint
-from .data import save_image
+from .data import save_image, write_file
 
 TRACE_HEADER = "iter,loss,cosine,mean_abs_delta"
 
@@ -23,14 +23,12 @@ def write_trace_csv(trace, path) -> None:
     lines = [TRACE_HEADER]
     for p in trace:
         lines.append(f"{p.iteration},{p.loss!r},{p.cosine!r},{p.mean_abs_delta!r}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_file(path, "\n".join(lines) + "\n")
 
 
 def write_records(records, out_dir) -> Path:
     """Write records.jsonl plus images/ and traces/ sidecars under out_dir."""
     out_dir = Path(out_dir)
-    (out_dir / "images").mkdir(parents=True, exist_ok=True)
-    (out_dir / "traces").mkdir(parents=True, exist_ok=True)
     lines = []
     for r in records:
         stem = f"{r.source_id}__{r.target_id}"
@@ -38,7 +36,7 @@ def write_records(records, out_dir) -> Path:
         raw_rel = f"images/{stem}.f32"
         trace_rel = f"traces/{stem}.csv"
         save_image(r.image, out_dir / ppm_rel)
-        (out_dir / raw_rel).write_bytes(np.ascontiguousarray(r.image, dtype="<f4").tobytes())
+        write_file(out_dir / raw_rel, np.ascontiguousarray(r.image, dtype="<f4").tobytes())
         write_trace_csv(r.trace, out_dir / trace_rel)
         lines.append(json.dumps({
             "source_id": r.source_id,
@@ -57,7 +55,7 @@ def write_records(records, out_dir) -> Path:
             "trace": [[p.iteration, p.loss, p.cosine, p.mean_abs_delta] for p in r.trace],
         }))
     path = out_dir / "records.jsonl"
-    path.write_text("\n".join(lines) + "\n")
+    write_file(path, "\n".join(lines) + "\n")
     return path
 
 

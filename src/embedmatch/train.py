@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import write_file
 from .model import CHUNK, EMBED_KINDS, ModelConfig, ModelWeights, outputs, record_forward
 from .seeding import derive_seed, stream
 from .weights_io import init_weights
@@ -61,8 +62,7 @@ class TrainHistory:
         lines = ["epoch,train_loss,val_acc_vit,val_acc_mil"]
         for s in self.epochs:
             lines.append(f"{s.epoch},{s.train_loss!r},{s.val_acc_vit!r},{s.val_acc_mil!r}")
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        write_file(path, "\n".join(lines) + "\n")
 
 
 def _batch_loss_and_grads(batch, weights: ModelWeights):

@@ -11,19 +11,19 @@ file is self-describing; everything else is a parameter tensor.
 
 from __future__ import annotations
 
-import os
 import struct
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
+from .data import write_file
 from .model import ModelConfig, ModelWeights, expected_shapes
 
 MAGIC = b"VITW"
 VERSION = 1
 HPARAMS_NAME = "_hparams"
-_HPARAM_FIELDS = ("image_size", "channels", "patch_size", "embed_dim",
-                  "depth", "num_heads", "mlp_ratio", "num_classes")
+_HPARAM_FIELDS = tuple(f.name for f in fields(ModelConfig))
 
 
 class WeightFormatError(ValueError):
@@ -63,11 +63,7 @@ def _config_from_tensor(t: np.ndarray) -> ModelConfig:
 
 
 def save_weights(weights: ModelWeights, path) -> None:
-    """Write weights to the binary container, hparams tensor first.
-
-    The bytes go to a temporary file beside the target, which then replaces
-    the target in one step, so a failed write leaves any earlier file intact.
-    """
+    """Write weights to the binary container, hparams tensor first."""
     items = [(HPARAMS_NAME, _config_tensor(weights.config))]
     items.extend(weights.tensors.items())
     parts = [MAGIC, struct.pack("<II", VERSION, len(items))]
@@ -78,15 +74,7 @@ def save_weights(weights: ModelWeights, path) -> None:
         parts.append(struct.pack("<B", arr.ndim))
         parts.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
         parts.append(np.ascontiguousarray(arr, dtype="<f4").tobytes())
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(b"".join(parts))
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    write_file(path, b"".join(parts))
 
 
 class _Reader:

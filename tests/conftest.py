@@ -4,9 +4,13 @@ The trained desk model is expensive (a few minutes), so it is built once per
 session and shared by the attack, detector and acceptance tests.
 """
 
+import errno
+import io
+
 import numpy as np
 import pytest
 
+from embedmatch import data
 from embedmatch.data import generate_synthetic, split
 from embedmatch.model import ModelConfig
 from embedmatch.train import TrainConfig, train
@@ -54,3 +58,17 @@ def desk_model(desk_dataset):
 @pytest.fixture()
 def tiny_weights():
     return init_weights(tiny_config(), seed=4)
+
+
+@pytest.fixture()
+def fail_writes_halfway(monkeypatch):
+    """Call the returned function to make every later file write stop halfway with ENOSPC."""
+    class HalfWriter(io.BufferedWriter):
+        def write(self, b):
+            super().write(b[:len(b) // 2])
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    def half_open(file, mode="r", *args, **kwargs):
+        return HalfWriter(io.FileIO(file, mode))
+
+    return lambda: monkeypatch.setattr(data, "open", half_open, raising=False)

@@ -103,11 +103,17 @@ def test_backward_rejects_seed_of_wrong_shape():
         tape.backward({y: np.ones((2, 1))})
 
 
-@pytest.mark.parametrize("op", ["scale", "softmax", "matmul", "slice", "no_such_op"])
+# known primitives called without the attr they require, and the attr the error names
+_MISSING_ATTR = {"mean_pool": "rows", "attention": "heads", "patchify": "patch_size"}
+
+
+@pytest.mark.parametrize("op", ["scale", "softmax", "matmul", "slice", "no_such_op",
+                                "mean_pool", "attention", "patchify"])
 def test_unknown_primitive_is_contract_error(op):
     tape, x = _tape_with_leaf([[1.0, 2.0]])
-    with pytest.raises(ContractError):
+    with pytest.raises(ContractError, match=op) as err:
         tape.apply(op, x)
+    assert _MISSING_ATTR.get(op, op) in str(err.value)
 
 
 def test_backward_deterministic_bitwise():

@@ -58,6 +58,25 @@ def test_nonexistent_weights_file_is_usage_error(pipeline, capsys):
     assert "--weights" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["attack", "metrics", "project", "detect"])
+def test_missing_weights_leaves_no_output_directory(pipeline, tmp_path, command):
+    out = tmp_path / "out"
+    argv = ([command] + _analysis_args(pipeline, out) if command != "attack" else
+            ["attack", "--data", str(pipeline / "data"), "--out", str(out)] + SMALL_ATTACK)
+    assert main(argv + ["--weights", str(pipeline / "nope.vitw")]) == 1
+    assert not out.exists()
+
+
+def test_failed_rerun_keeps_earlier_outputs(pipeline, tmp_path, fail_writes_halfway):
+    out = tmp_path / "out"
+    assert main(["metrics"] + _analysis_args(pipeline, out)) == 0
+    before = (out / "metrics.json").read_bytes()
+    fail_writes_halfway()
+    assert main(["metrics"] + _analysis_args(pipeline, out)) == 2
+    assert (out / "metrics.json").read_bytes() == before
+    assert not [p for p in out.rglob("*") if p.name.endswith(".tmp")]
+
+
 def test_corrupt_weights_is_data_error(pipeline, tmp_path):
     bad = tmp_path / "bad.vitw"
     bad.write_bytes(b"XXXXgarbage")

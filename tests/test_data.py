@@ -1,17 +1,58 @@
-"""netpbm IO, manifests, deterministic splits, and the synthetic generator."""
+"""File output, netpbm IO, manifests, deterministic splits, and the synthetic generator."""
+
+import ast
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import embedmatch
 from embedmatch.data import (ImageParseError, ManifestError, generate_synthetic,
                              lesion_count_range, load_dataset, load_image,
                              load_manifest, save_image, save_manifest, split,
-                             write_dataset)
+                             write_dataset, write_file)
 
 settings.register_profile("ci", deadline=None)
 settings.load_profile("ci")
+
+
+# --- file output ----------------------------------------------------------------
+
+
+def test_write_file_text_as_utf8_bytes_as_is(tmp_path):
+    text, raw = tmp_path / "a" / "b" / "t.csv", tmp_path / "r.f32"
+    write_file(text, "é,1\r\n2\n")
+    write_file(raw, b"\x00\r\n\xff")
+    assert text.read_bytes() == "é,1\r\n2\n".encode("utf-8")
+    assert raw.read_bytes() == b"\x00\r\n\xff"
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["a", "b", "r.f32", "t.csv"]
+
+
+def _writes_or_makes_dirs(call: ast.Call) -> bool:
+    func = call.func
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    if name in ("write_text", "write_bytes", "mkdir", "makedirs"):
+        return True
+    if name != "open":
+        return False
+    # builtin open(file, mode), Path.open(mode); a mode that is not a literal counts
+    positional = call.args[1:2] if isinstance(func, ast.Name) else call.args[:1]
+    modes = positional + [k.value for k in call.keywords if k.arg == "mode"]
+    return any(not isinstance(m, ast.Constant) or re.search("[wax+]", m.value) for m in modes)
+
+
+def test_write_file_is_the_only_output_path():
+    sites = []
+    for path in sorted(Path(embedmatch.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        if path.name == "data.py":
+            tree.body = [s for s in tree.body if getattr(s, "name", None) != "write_file"]
+        sites += [f"{path.name}:{n.lineno}" for n in ast.walk(tree)
+                  if isinstance(n, ast.Call) and _writes_or_makes_dirs(n)]
+    assert sites == []
 
 
 # --- netpbm ---------------------------------------------------------------------

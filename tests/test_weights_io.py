@@ -1,15 +1,11 @@
 """Weight initialization statistics and the binary container round trip."""
 
-import errno
-import io
-
 import numpy as np
 import pytest
 
 from _reference import file_size
 from conftest import tiny_config
 
-from embedmatch import weights_io
 from embedmatch.model import ModelConfig, expected_shapes
 from embedmatch.weights_io import WeightFormatError, init_weights, load_weights, save_weights
 
@@ -65,20 +61,11 @@ def test_roundtrip_bitwise(tmp_path):
     assert path.read_bytes() == first
 
 
-def test_failed_write_keeps_previous_file(tmp_path, monkeypatch):
+def test_failed_write_keeps_previous_file(tmp_path, fail_writes_halfway):
     path = tmp_path / "weights.vitw"
     save_weights(init_weights(tiny_config(), 0), path)
     before = path.read_bytes()
-
-    class HalfWriter(io.BufferedWriter):
-        def write(self, data):
-            super().write(data[:len(data) // 2])
-            raise OSError(errno.ENOSPC, "No space left on device")
-
-    def half_open(file, mode="r", *args, **kwargs):
-        return HalfWriter(io.FileIO(file, mode))
-
-    monkeypatch.setattr(weights_io, "open", half_open, raising=False)
+    fail_writes_halfway()
     with pytest.raises(OSError):
         save_weights(init_weights(tiny_config(), 1), path)
     assert path.read_bytes() == before
