@@ -68,17 +68,19 @@ class TracePoint:
 
 @dataclass
 class AttackRecord:
+    """One pair's outcome; the field order is the key order of a records.jsonl line."""
+
     source_id: str
     target_id: str
-    image: np.ndarray = field(repr=False)  # optimized image, float32 (H, W, C)
     iterations_used: int
-    trace: list[TracePoint]
+    converged: bool
+    max_abs_delta: float
     label_source_true: int
     label_target_true: int
     label_before: int
-    label_after: int
-    max_abs_delta: float
-    converged: bool
+    label_after: int  # the label of image
+    image: np.ndarray = field(repr=False)  # best evaluated iterate, float32 (H, W, C)
+    trace: list[TracePoint]
 
 
 def project(x_tilde: np.ndarray, x0: np.ndarray, epsilon: float) -> np.ndarray:
@@ -94,17 +96,11 @@ def project(x_tilde: np.ndarray, x0: np.ndarray, epsilon: float) -> np.ndarray:
 
 @dataclass
 class _PairRun:
-    """Per-pair state of a lockstep attack."""
+    """Per-pair state of a lockstep attack: the record it fills, plus what no record holds."""
 
+    record: AttackRecord
     tau: float
-    iterations_used: int
-    trace: list[TracePoint] = field(default_factory=list)
-    max_abs_delta: float = 0.0
-    converged: bool = False
     best_loss: float = np.inf
-    best_x: np.ndarray | None = None
-    label_before: int = -1
-    label_after: int = -1  # the label of best_x
     error: str | None = None
 
 
@@ -121,9 +117,15 @@ def _attack_stack(x0: np.ndarray, targets: Embedding, weights: ModelWeights, cfg
     runs per pair.
     """
     tgt64 = targets.values.astype(np.float64)
-    runs = [_PairRun(RELATIVE_CONV_DEFAULT * float(np.linalg.norm(t))
-                     if cfg.conv_threshold is None else cfg.conv_threshold,
-                     cfg.max_iters) for t in tgt64]
+    runs = []
+    for (source_id, target_id, label_source_true, label_target_true), t in zip(pairs, tgt64):
+        record = AttackRecord(
+            source_id=source_id, target_id=target_id, iterations_used=cfg.max_iters,
+            converged=False, max_abs_delta=0.0, label_source_true=label_source_true,
+            label_target_true=label_target_true, label_before=-1, label_after=-1,
+            image=None, trace=[])
+        runs.append(_PairRun(record, RELATIVE_CONV_DEFAULT * float(np.linalg.norm(t))
+                             if cfg.conv_threshold is None else cfg.conv_threshold))
     active = np.arange(len(runs))
     x = x0.copy()
     for t in range(1, cfg.max_iters + 1):
@@ -131,25 +133,25 @@ def _attack_stack(x0: np.ndarray, targets: Embedding, weights: ModelWeights, cfg
             x, Embedding(targets.values[active], targets.kind), weights, cfg.kind)
         keep = np.zeros(len(active), dtype=bool)
         for j, i in enumerate(active):
-            run, loss = runs[i], float(losses[j])
+            run, rec, loss = runs[i], runs[i].record, float(losses[j])
             if not np.isfinite(loss) or not np.isfinite(grads[j]).all():
                 run.error = f"non-finite loss or gradient at iteration {t}"
                 continue
             if t == 1:
-                run.label_before = int(labels[j])
+                rec.label_before = int(labels[j])
             # fixed-step descent can end an oscillation above its starting loss; the
             # returned image is the best evaluated iterate, so the final loss never
             # exceeds the initial one (the trace still documents the full trajectory)
             if loss < run.best_loss:
-                run.best_loss, run.best_x, run.label_after = loss, x[j], int(labels[j])
+                run.best_loss, rec.image, rec.label_after = loss, x[j], int(labels[j])
             dist = float(np.linalg.norm(embs[j].astype(np.float64) - tgt64[i]))
             hit = dist < run.tau
             if t == 1 or (t - 1) % cfg.trace_every == 0 or t == cfg.max_iters or hit:
-                run.trace.append(TracePoint(
+                rec.trace.append(TracePoint(
                     t, loss, cosine(embs[j], targets.values[i]),
                     float(np.mean(np.abs(x[j] - x0[i]), dtype=np.float64))))
             if hit:
-                run.converged, run.iterations_used = True, t
+                rec.converged, rec.iterations_used = True, t
             else:
                 keep[j] = True
         active = active[keep]
@@ -157,21 +159,12 @@ def _attack_stack(x0: np.ndarray, targets: Embedding, weights: ModelWeights, cfg
             break
         x = project(x[keep] - np.float32(cfg.eta) * grads[keep], x0[active], cfg.epsilon)
         for j, i in enumerate(active):
-            runs[i].max_abs_delta = max(runs[i].max_abs_delta,
-                                        float(np.max(np.abs(x[j] - x0[i]))))
-    return [run.error or AttackRecord(
-        source_id=source_id,
-        target_id=target_id,
-        image=run.best_x.copy(),  # best_x is a row of its iteration's whole stack
-        iterations_used=run.iterations_used,
-        trace=run.trace,
-        label_source_true=label_source_true,
-        label_target_true=label_target_true,
-        label_before=run.label_before,
-        label_after=run.label_after,
-        max_abs_delta=run.max_abs_delta,
-        converged=run.converged,
-    ) for run, (source_id, target_id, label_source_true, label_target_true) in zip(runs, pairs)]
+            rec = runs[i].record
+            rec.max_abs_delta = max(rec.max_abs_delta, float(np.max(np.abs(x[j] - x0[i]))))
+    for run in runs:
+        if run.error is None:  # the best iterate is a row of its iteration's whole stack
+            run.record.image = run.record.image.copy()
+    return [run.error or run.record for run in runs]
 
 
 def prm(x0: np.ndarray, target: Embedding, weights: ModelWeights, cfg: PRMConfig,

@@ -9,8 +9,8 @@
 
 Exit codes: 0 success, 1 usage error, 2 data/format error, 3 numerical failure.
 All randomness derives from --seed (fallback: EMBEDMATCH_SEED, then 0).
-Every command drops a manifest.json snapshot beside its outputs; re-running
-with the recorded arguments reproduces the outputs bit for bit.
+Every command but report drops a manifest-<command>.json snapshot beside its
+outputs; re-running with the recorded arguments reproduces the outputs bit for bit.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from pathlib import Path
 from . import __version__
 from .attack import AttackError, PairingError, PRMConfig, build_pairs, run_suite
 from .data import (ImageParseError, ManifestError, csv_text, generate_synthetic,
-                   load_dataset, split, write_dataset, write_file)
+                   load_dataset, require_keys, split, write_dataset, write_file)
 from .detector import DetectorConfig, sweep
 from .metrics import aggregate, per_record_metrics
 from .model import ModelConfig, embed
@@ -39,6 +39,7 @@ from .train import TrainConfig, TrainingError, evaluate, train
 from .weights_io import WeightFormatError, load_weights, save_weights
 
 KIND_FLAGS = {"vit": "class_token", "mil": "mil_mean"}
+SWEEP_COLUMNS = ("sigma", "clean_rate", "attacked_rate")
 
 
 class UsageError(Exception):
@@ -100,9 +101,13 @@ def _write_run_manifest(out_dir: Path, command: str, args, seed: int, outputs) -
     write_file(out_dir / f"manifest-{command}.json", json.dumps(payload, indent=2) + "\n")
 
 
-def _load_run_manifest(run_dir: Path, command: str) -> dict:
+def _load_run_manifest(run_dir: Path, command: str, arg_keys) -> dict:
+    """A run's manifest, checked to hold its seed and the named args."""
     path = _require(run_dir / f"manifest-{command}.json", "--run")
-    return json.loads(path.read_text())
+    manifest = json.loads(path.read_text())
+    require_keys(manifest, ("args", "seed"), str(path))
+    require_keys(manifest["args"], arg_keys, f"{path}: args")
+    return manifest
 
 
 def _split_items(items, seed: int):
@@ -194,15 +199,19 @@ def _check_record_ids(records, items) -> None:
         raise ManifestError(f"records name image {missing!r}, which is not in the dataset")
 
 
-def _context_from_args(args):
-    """Weights, dataset items and embedding kind shared by the analysis commands."""
-    weights = load_weights(_require(args.weights, "--weights"))
-    items = load_dataset(_manifest_path(args.data))
-    records = read_records(_require(args.records, "--records"))
+def _load_inputs(weights_path, data_path, records_path, via: str | None = None):
+    """Weights, dataset items and records shared by the analysis commands and report.
+
+    Messages name each path's flag, or ``via`` when all three came from one place.
+    """
+    weights_flag, data_flag, records_flag = (via or f for f in ("--weights", "--data", "--records"))
+    weights = load_weights(_require(weights_path, weights_flag))
+    items = load_dataset(_manifest_path(data_path, data_flag))
+    records = read_records(_require(records_path, records_flag))
     if not records:
-        raise UsageError(f"--records: no records in {args.records}")
+        raise UsageError(f"{records_flag}: no records in {records_path}")
     _check_record_ids(records, items)
-    return weights, items, records, KIND_FLAGS[args.kind]
+    return weights, items, records
 
 
 def _analyze(weights, items, records, kind: str, seed: int):
@@ -216,8 +225,8 @@ def _analyze(weights, items, records, kind: str, seed: int):
 def cmd_metrics(args) -> None:
     seed = _resolve_seed(args)
     out = Path(args.out)
-    weights, items, records, kind = _context_from_args(args)
-    report, rows = _analyze(weights, items, records, kind, seed)
+    weights, items, records = _load_inputs(args.weights, args.data, args.records)
+    report, rows = _analyze(weights, items, records, KIND_FLAGS[args.kind], seed)
     metrics_path = out / "metrics.json"
     write_file(metrics_path, json.dumps(report.to_dict(), indent=2) + "\n")
     names = list(rows[0].__dataclass_fields__)
@@ -231,7 +240,8 @@ def cmd_metrics(args) -> None:
 def cmd_project(args) -> None:
     seed = _resolve_seed(args)
     out = Path(args.out)
-    weights, items, records, kind = _context_from_args(args)
+    weights, items, records = _load_inputs(args.weights, args.data, args.records)
+    kind = KIND_FLAGS[args.kind]
     _, _, test_items = _split_items(items, seed)
     basis = fit_pca(embed([it.image for it in test_items], weights, kind).values, k=6)
     by_id = {it.id: it for it in items}
@@ -261,12 +271,13 @@ def cmd_detect(args) -> None:
     for sigma in sigmas:
         _config(DetectorConfig, sigma=sigma, draws=args.draws)
     out = Path(args.out)
-    weights, items, records, kind = _context_from_args(args)
+    weights, items, records = _load_inputs(args.weights, args.data, args.records)
     by_id = {it.id: it for it in items}
     rows = sweep([by_id[r.source_id].image for r in records], [r.image for r in records],
-                 sigmas, weights, kind, derive_seed(seed, "detector"), draws=args.draws)
+                 sigmas, weights, KIND_FLAGS[args.kind], derive_seed(seed, "detector"),
+                 draws=args.draws)
     path = out / "sweep.csv"
-    write_file(path, csv_text([("sigma", "clean_rate", "attacked_rate")] + [
+    write_file(path, csv_text([SWEEP_COLUMNS] + [
         (repr(row.sigma), repr(row.clean_flag_rate), repr(row.attacked_flag_rate))
         for row in rows]))
     _write_run_manifest(out, "detect", args, seed, [path])
@@ -316,22 +327,19 @@ def cmd_report(args) -> None:
     sweep_path = _require(args.sweep, "--sweep") if args.sweep else run_dir / "sweep.csv"
     projections_path = (_require(args.projections, "--projections") if args.projections
                         else run_dir / "projections.csv")
-    manifest = _load_run_manifest(run_dir, "attack")
+    manifest = _load_run_manifest(run_dir, "attack", ("weights", "data", "kind"))
     attack_args = manifest["args"]
     seed = manifest["seed"]
-    weights = load_weights(_require(attack_args["weights"], "--run (weights path)"))
-    items = load_dataset(_manifest_path(attack_args["data"], "--run (data path)"))
-    records = read_records(_require(run_dir / "records.jsonl", "--run (records)"))
-    _check_record_ids(records, items)
+    weights, items, records = _load_inputs(attack_args["weights"], attack_args["data"],
+                                           run_dir / "records.jsonl", via="--run")
     report, _ = _analyze(weights, items, records, KIND_FLAGS[attack_args["kind"]], seed)
 
     sweep_rows = []
     if sweep_path.exists():
         with open(sweep_path, newline="") as fh:
-            for row in csv.DictReader(fh):
-                sweep_rows.append({"sigma": float(row["sigma"]),
-                                   "clean_rate": float(row["clean_rate"]),
-                                   "attacked_rate": float(row["attacked_rate"])})
+            for n, row in enumerate(csv.DictReader(fh), start=2):
+                require_keys(row, SWEEP_COLUMNS, f"{sweep_path}: row {n}")
+                sweep_rows.append({k: float(row[k]) for k in SWEEP_COLUMNS})
     projections_ref = str(projections_path) if projections_path.exists() else None
 
     metrics_dict = {k: (None if isinstance(v, float) and not math.isfinite(v) else v)

@@ -26,6 +26,20 @@ class ManifestError(ValueError):
     """Malformed manifest CSV; message carries the row number."""
 
 
+class MissingKeyError(ValueError):
+    """A JSON object or CSV row lacks a key; message names the file, line or row, and key."""
+
+
+def require_keys(obj, keys, where: str) -> None:
+    """Raise MissingKeyError at ``where`` for the first of ``keys`` that ``obj`` lacks.
+
+    Anything but a dict, such as a JSON line holding a bare number, lacks every key.
+    """
+    missing = [k for k in keys if k not in obj] if isinstance(obj, dict) else list(keys)
+    if missing:
+        raise MissingKeyError(f"{where}: missing key {missing[0]!r}")
+
+
 @dataclass
 class LabelledImage:
     id: str

@@ -229,6 +229,7 @@ def test_run_suite_lockstep_equals_per_pair_prm(setup, tmp_path):
     assert 0 < sum(r.converged for r in serial) < len(serial)
     assert _written(serial, tmp_path / "w1") == _written(parallel, tmp_path / "w4")
     for r, (source_id, target_id) in zip(serial, pairs):
+        assert r.image.base is None  # a copy: a record never pins its chunk's stack
         assert _record_key(r) == _record_key(_prm_pair(w, UNEVEN, by_id, source_id, target_id))
         # the suite reads its labels off its own iteration tapes; predict is an independent oracle
         assert r.label_before == predict(by_id[source_id].image, w, UNEVEN.kind)

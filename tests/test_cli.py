@@ -10,7 +10,7 @@ import pytest
 
 from embedmatch.cli import main
 from embedmatch.data import load_dataset
-from embedmatch.records_io import read_records
+from embedmatch.records_io import read_records, write_records
 from embedmatch.weights_io import load_weights, save_weights
 
 SMALL_GEN = ["--num-per-class", "20", "--num-classes", "2", "--image-size", "16"]
@@ -190,12 +190,24 @@ def test_attack_outputs_respect_epsilon(pipeline):
         assert (pipeline / "attack" / f"traces/{r.source_id}__{r.target_id}.csv").exists()
 
 
-def test_records_roundtrip_bitwise(pipeline):
+def _record_files(root):
+    """records.jsonl and its image and trace sidecars under root, by relative path."""
+    paths = [root / "records.jsonl"] + sorted((root / "images").iterdir()) \
+        + sorted((root / "traces").iterdir())
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in paths}
+
+
+def test_records_roundtrip_bitwise(pipeline, tmp_path):
     records = read_records(pipeline / "attack" / "records.jsonl")
     again = read_records(pipeline / "attack" / "records.jsonl")
     for a, b in zip(records, again):
         assert a.image.tobytes() == b.image.tobytes()
         assert a.trace == b.trace
+    # writing what was read gives back the attack's own files, byte for byte
+    write_records(records, tmp_path / "rewritten")
+    written = _record_files(tmp_path / "rewritten")
+    assert written == _record_files(pipeline / "attack")
+    assert len(written) == 1 + 3 * len(records)
 
 
 def test_metrics_project_detect_report(pipeline):
@@ -229,6 +241,54 @@ def test_metrics_project_detect_report(pipeline):
     expected = aggregate(records, rows, clean)
     for key, value in expected.to_dict().items():
         assert report["metrics"][key] == pytest.approx(value), key
+
+
+@pytest.mark.parametrize("case", ["sweep", "manifest", "records", "records-number"])
+def test_input_missing_a_key_is_data_error(pipeline, tmp_path, capsys, case):
+    run = tmp_path / "run"
+    shutil.copytree(pipeline / "attack", run,
+                    ignore=shutil.ignore_patterns("sweep.csv", "projections.csv"))
+    records = run / "records.jsonl"
+    if case == "sweep":
+        (run / "sweep.csv").write_text("sigma,clean\n0.05,0.0\n")
+    elif case == "manifest":
+        manifest = json.loads((run / "manifest-attack.json").read_text())
+        del manifest["args"]["weights"]
+        (run / "manifest-attack.json").write_text(json.dumps(manifest))
+    elif case == "records":
+        first, *rest = records.read_text().splitlines()
+        obj = json.loads(first)
+        del obj["label_after"]
+        records.write_text("\n".join([json.dumps(obj)] + rest) + "\n")
+    else:
+        records.write_text("3\n")  # valid JSON, but not an object
+    out = tmp_path / "out"
+    argv = (["metrics"] + _analysis_args(pipeline, out) + ["--records", str(records)]
+            if case.startswith("records") else ["report", "--run", str(run), "--out", str(out)])
+    assert main(argv) == 2
+    where = {"sweep": "sweep.csv: row 2: missing key 'clean_rate'",
+             "manifest": "manifest-attack.json: args: missing key 'weights'",
+             "records": "records.jsonl: line 1: missing key 'label_after'",
+             "records-number": "records.jsonl: line 1: missing key 'source_id'"}[case]
+    err = capsys.readouterr().err
+    assert err.startswith("data error") and f"{run / where}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["metrics", "report"])
+def test_empty_records_is_usage_error(pipeline, tmp_path, capsys, command):
+    run = tmp_path / "run"
+    shutil.copytree(pipeline / "attack", run)
+    (run / "records.jsonl").write_text("\n")  # what an attack whose every pair failed writes
+    out = tmp_path / "out"
+    argv = {
+        "metrics": ["metrics"] + _analysis_args(pipeline, out)
+                   + ["--records", str(run / "records.jsonl")],
+        "report": ["report", "--run", str(run), "--out", str(out)],
+    }[command]
+    assert main(argv) == 1
+    assert "no records in" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flag", ["--sweep", "--projections"])
