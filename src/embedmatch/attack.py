@@ -50,8 +50,8 @@ class PRMConfig:
             raise ValueError("epsilon must lie in [0, 1]")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.conv_threshold is not None and not self.conv_threshold >= 0:
-            raise ValueError("conv_threshold must be >= 0")
+        if self.conv_threshold is not None and not 0 <= self.conv_threshold < math.inf:
+            raise ValueError("conv_threshold must be >= 0 and finite")
         if self.kind not in EMBED_KINDS:
             raise ValueError(f"unknown embedding kind {self.kind!r}")
         if self.trace_every < 1:

@@ -30,12 +30,12 @@ from .data import (ImageParseError, ManifestError, csv_text, generate_synthetic,
                    load_dataset, require_keys, split, write_dataset, write_file)
 from .detector import DetectorConfig, sweep
 from .metrics import aggregate, per_record_metrics
-from .model import ModelConfig, embed
+from .model import ModelConfig, outputs
 from .pca import fit_pca
 from .pca import project as pca_project
 from .records_io import read_records, write_records
 from .seeding import derive_seed
-from .train import TrainConfig, TrainingError, evaluate, train
+from .train import TrainConfig, TrainingError, train
 from .weights_io import WeightFormatError, load_weights, save_weights
 
 KIND_FLAGS = {"vit": "class_token", "mil": "mil_mean"}
@@ -101,23 +101,10 @@ def _write_run_manifest(out_dir: Path, command: str, args, seed: int, outputs) -
     write_file(out_dir / f"manifest-{command}.json", json.dumps(payload, indent=2) + "\n")
 
 
-def _load_run_manifest(run_dir: Path, command: str, arg_keys) -> dict:
-    """A run's manifest, checked to hold its seed and the named args."""
-    path = _require(run_dir / f"manifest-{command}.json", "--run")
-    manifest = json.loads(path.read_text())
-    require_keys(manifest, ("args", "seed"), str(path))
-    require_keys(manifest["args"], arg_keys, f"{path}: args")
-    return manifest
-
-
-def _split_items(items, seed: int):
-    by_id = {it.id: it for it in items}
-    parts = split([it.id for it in items], derive_seed(seed, "split"))
-    return (
-        [by_id[i] for i in parts.train],
-        [by_id[i] for i in parts.validation],
-        [by_id[i] for i in parts.test],
-    )
+def _split_items(by_id, seed: int):
+    """(train, validation, test) items of a dataset keyed by image id."""
+    parts = split(list(by_id), derive_seed(seed, "split"))
+    return tuple([by_id[i] for i in part] for part in (parts.train, parts.validation, parts.test))
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +140,7 @@ def cmd_train(args) -> None:
         patch_size=args.patch_size, embed_dim=args.embed_dim, depth=args.depth,
         num_heads=args.num_heads, mlp_ratio=args.mlp_ratio, num_classes=num_classes)
     out = Path(args.out)
-    train_items, val_items, _ = _split_items(items, seed)
+    train_items, val_items, _ = _split_items({it.id: it for it in items}, seed)
     weights, history = train(config, tcfg, train_items, val_items)
     weights_path = out / "weights.vitw"
     save_weights(weights, weights_path)
@@ -174,13 +161,12 @@ def cmd_attack(args) -> None:
             raise UsageError(f"{flag} must be >= 1, got {value}")
     out = Path(args.out)
     weights = load_weights(_require(args.weights, "--weights"))
-    items = load_dataset(_manifest_path(args.data))
-    _, _, test_items = _split_items(items, seed)
+    by_id = {it.id: it for it in load_dataset(_manifest_path(args.data))}
+    _, _, test_items = _split_items(by_id, seed)
     try:
         pairs = build_pairs(test_items, derive_seed(seed, "pairs"), limit=args.num_pairs)
     except PairingError as e:
         raise UsageError(f"--data: {e}") from None
-    by_id = {it.id: it for it in items}
     records, failures = run_suite(pairs, weights, cfg, by_id, workers=args.workers)
     records_path = write_records(records, out)
     _write_run_manifest(out, "attack", args, seed, [records_path])
@@ -191,42 +177,50 @@ def cmd_attack(args) -> None:
           f"-> {records_path}")
 
 
-def _check_record_ids(records, items) -> None:
-    """The first image a record names that the dataset lacks is a data error."""
-    ids = {it.id for it in items}
-    missing = next((i for r in records for i in (r.source_id, r.target_id) if i not in ids), None)
-    if missing is not None:
-        raise ManifestError(f"records name image {missing!r}, which is not in the dataset")
-
-
 def _load_inputs(weights_path, data_path, records_path, via: str | None = None):
-    """Weights, dataset items and records shared by the analysis commands and report.
+    """Weights, dataset items by id and records shared by the analysis commands and report.
 
     Messages name each path's flag, or ``via`` when all three came from one place.
     """
     weights_flag, data_flag, records_flag = (via or f for f in ("--weights", "--data", "--records"))
     weights = load_weights(_require(weights_path, weights_flag))
-    items = load_dataset(_manifest_path(data_path, data_flag))
+    by_id = {it.id: it for it in load_dataset(_manifest_path(data_path, data_flag))}
     records = read_records(_require(records_path, records_flag))
     if not records:
         raise UsageError(f"{records_flag}: no records in {records_path}")
-    _check_record_ids(records, items)
-    return weights, items, records
+    missing = next((i for r in records for i in (r.source_id, r.target_id) if i not in by_id), None)
+    if missing is not None:
+        raise ManifestError(f"records name image {missing!r}, which is not in the dataset")
+    return weights, by_id, records
 
 
-def _analyze(weights, items, records, kind: str, seed: int):
+def _embed_once(weights, by_id, records, seed: int):
+    """(test items, clean outputs by image id, optimized outputs), one outputs pass each.
+
+    The clean pass covers the test split of ``seed``, then each image a record names.
+    """
+    _, _, test_items = _split_items(by_id, seed)
+    ids = list(dict.fromkeys([it.id for it in test_items]
+                             + [i for r in records for i in (r.source_id, r.target_id)]))
+    clean = outputs([by_id[i].image for i in ids], weights)
+    return (test_items, {key: dict(zip(ids, rows)) for key, rows in clean.items()},
+            outputs([r.image for r in records], weights))
+
+
+def _analyze(weights, by_id, records, kind: str, seed: int):
     """(aggregate report, per-record rows), each computed once; shared by metrics and report."""
-    _, _, test_items = _split_items(items, seed)
-    rows = per_record_metrics(records, items_by_id={it.id: it for it in items},
-                              weights=weights, kind=kind)
-    return aggregate(records, rows, evaluate(weights, test_items)[kind]), rows
+    test_items, clean, optimized = _embed_once(weights, by_id, records, seed)
+    correct = sum(int(clean[f"logits.{kind}"][it.id].argmax() == it.label) for it in test_items)
+    rows = per_record_metrics(records, items_by_id=by_id, clean=clean[kind],
+                              optimized=optimized[kind])
+    return aggregate(records, rows, correct / len(test_items)), rows
 
 
 def cmd_metrics(args) -> None:
     seed = _resolve_seed(args)
     out = Path(args.out)
-    weights, items, records = _load_inputs(args.weights, args.data, args.records)
-    report, rows = _analyze(weights, items, records, KIND_FLAGS[args.kind], seed)
+    weights, by_id, records = _load_inputs(args.weights, args.data, args.records)
+    report, rows = _analyze(weights, by_id, records, KIND_FLAGS[args.kind], seed)
     metrics_path = out / "metrics.json"
     write_file(metrics_path, json.dumps(report.to_dict(), indent=2) + "\n")
     names = list(rows[0].__dataclass_fields__)
@@ -240,19 +234,16 @@ def cmd_metrics(args) -> None:
 def cmd_project(args) -> None:
     seed = _resolve_seed(args)
     out = Path(args.out)
-    weights, items, records = _load_inputs(args.weights, args.data, args.records)
+    weights, by_id, records = _load_inputs(args.weights, args.data, args.records)
     kind = KIND_FLAGS[args.kind]
-    _, _, test_items = _split_items(items, seed)
-    basis = fit_pca(embed([it.image for it in test_items], weights, kind).values, k=6)
-    by_id = {it.id: it for it in items}
-    originals, optimized, targets = (embed(images, weights, kind).values for images in (
-        [by_id[r.source_id].image for r in records], [r.image for r in records],
-        [by_id[r.target_id].image for r in records]))
+    test_items, clean, optimized = _embed_once(weights, by_id, records, seed)
+    by_image = clean[kind]
+    basis = fit_pca([by_image[it.id] for it in test_items], k=6)
     table = [["id", "role"] + [f"pc{i}" for i in range(1, 7)]]
-    for r, e0, e1, et in zip(records, originals, optimized, targets):
-        for row_id, role, e in ((r.source_id, "original", e0),
+    for r, e1 in zip(records, optimized[kind]):
+        for row_id, role, e in ((r.source_id, "original", by_image[r.source_id]),
                                 (f"{r.source_id}->{r.target_id}", "optimized", e1),
-                                (r.target_id, "target", et)):
+                                (r.target_id, "target", by_image[r.target_id])):
             table.append([row_id, role] + [repr(float(c)) for c in pca_project(e, basis)])
     path = out / "projections.csv"
     write_file(path, csv_text(table))
@@ -271,8 +262,7 @@ def cmd_detect(args) -> None:
     for sigma in sigmas:
         _config(DetectorConfig, sigma=sigma, draws=args.draws)
     out = Path(args.out)
-    weights, items, records = _load_inputs(args.weights, args.data, args.records)
-    by_id = {it.id: it for it in items}
+    weights, by_id, records = _load_inputs(args.weights, args.data, args.records)
     rows = sweep([by_id[r.source_id].image for r in records], [r.image for r in records],
                  sigmas, weights, KIND_FLAGS[args.kind], derive_seed(seed, "detector"),
                  draws=args.draws)
@@ -327,19 +317,22 @@ def cmd_report(args) -> None:
     sweep_path = _require(args.sweep, "--sweep") if args.sweep else run_dir / "sweep.csv"
     projections_path = (_require(args.projections, "--projections") if args.projections
                         else run_dir / "projections.csv")
-    manifest = _load_run_manifest(run_dir, "attack", ("weights", "data", "kind"))
-    attack_args = manifest["args"]
-    seed = manifest["seed"]
-    weights, items, records = _load_inputs(attack_args["weights"], attack_args["data"],
-                                           run_dir / "records.jsonl", via="--run")
-    report, _ = _analyze(weights, items, records, KIND_FLAGS[attack_args["kind"]], seed)
-
+    run_manifest = _require(run_dir / "manifest-attack.json", "--run")
+    manifest = json.loads(run_manifest.read_text())
+    require_keys(manifest, ("args", "seed"), str(run_manifest))
+    attack_args, seed = manifest["args"], manifest["seed"]
+    require_keys(attack_args, ("weights", "data", "kind"), f"{run_manifest}: args")
+    if not isinstance(attack_args["kind"], str) or attack_args["kind"] not in KIND_FLAGS:
+        raise ManifestError(f"{run_manifest}: args: unknown kind {attack_args['kind']!r}")
     sweep_rows = []
     if sweep_path.exists():
         with open(sweep_path, newline="") as fh:
             for n, row in enumerate(csv.DictReader(fh), start=2):
                 require_keys(row, SWEEP_COLUMNS, f"{sweep_path}: row {n}")
                 sweep_rows.append({k: float(row[k]) for k in SWEEP_COLUMNS})
+    weights, by_id, records = _load_inputs(attack_args["weights"], attack_args["data"],
+                                           run_dir / "records.jsonl", via="--run")
+    report, _ = _analyze(weights, by_id, records, KIND_FLAGS[attack_args["kind"]], seed)
     projections_ref = str(projections_path) if projections_path.exists() else None
 
     metrics_dict = {k: (None if isinstance(v, float) and not math.isfinite(v) else v)

@@ -33,9 +33,9 @@ class MissingKeyError(ValueError):
 def require_keys(obj, keys, where: str) -> None:
     """Raise MissingKeyError at ``where`` for the first of ``keys`` that ``obj`` lacks.
 
-    Anything but a dict, such as a JSON line holding a bare number, lacks every key.
+    None, csv.DictReader's fill for a short row, counts as missing; a non-dict lacks every key.
     """
-    missing = [k for k in keys if k not in obj] if isinstance(obj, dict) else list(keys)
+    missing = [k for k in keys if obj.get(k) is None] if isinstance(obj, dict) else list(keys)
     if missing:
         raise MissingKeyError(f"{where}: missing key {missing[0]!r}")
 

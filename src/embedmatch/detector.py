@@ -22,8 +22,8 @@ class DetectorConfig:
     draws: int = 1
 
     def __post_init__(self):
-        if not self.sigma >= 0:  # also rejects NaN
-            raise ValueError("sigma must be >= 0")
+        if not 0 <= self.sigma < np.inf:  # also rejects NaN
+            raise ValueError("sigma must be >= 0 and finite")
         if self.draws < 1:
             raise ValueError("draws must be >= 1")
 

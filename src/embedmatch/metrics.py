@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import ContractError, ShapeError
-from .model import embed
 
 SSIM_WINDOW = 11
 SSIM_SIGMA = 1.5
@@ -81,8 +80,8 @@ def ssim(a: np.ndarray, b: np.ndarray, peak: float = 1.0) -> float:
 
 def cosine(u, v) -> float:
     """Normalized dot product of two embedding vectors, in [-1, 1]."""
-    u = np.asarray(getattr(u, "values", u), dtype=np.float64)
-    v = np.asarray(getattr(v, "values", v), dtype=np.float64)
+    u = np.asarray(u, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
     if u.shape != v.shape:
         raise ShapeError(f"cosine: lengths {u.shape} vs {v.shape}")
     nu, nv = np.linalg.norm(u), np.linalg.norm(v)
@@ -128,23 +127,22 @@ class RecordMetrics:
     label_after: int
 
 
-def per_record_metrics(records, *, items_by_id, weights, kind: str) -> list[RecordMetrics]:
-    """Image quality and embedding similarity per attack record; one embed per image set."""
-    sources = [items_by_id[r.source_id].image for r in records]
-    targets = [items_by_id[r.target_id].image for r in records]
-    e_opt, e_src, e_tgt = (embed(images, weights, kind).values
-                           for images in ([r.image for r in records], sources, targets))
+def per_record_metrics(records, *, items_by_id, clean, optimized) -> list[RecordMetrics]:
+    """Image quality and embedding similarity per attack record; runs no forward pass.
+
+    ``clean`` maps image ids to embedding rows; ``optimized`` rows follow the records.
+    """
     return [RecordMetrics(
         source_id=r.source_id,
         target_id=r.target_id,
-        psnr_original=psnr(x0, r.image),
-        psnr_target=psnr(xt, r.image),
-        ssim_original=ssim(x0, r.image),
-        ssim_target=ssim(xt, r.image),
-        cosine_original=cosine(e_opt[i], e_src[i]),
-        cosine_target=cosine(e_opt[i], e_tgt[i]),
+        psnr_original=psnr(items_by_id[r.source_id].image, r.image),
+        psnr_target=psnr(items_by_id[r.target_id].image, r.image),
+        ssim_original=ssim(items_by_id[r.source_id].image, r.image),
+        ssim_target=ssim(items_by_id[r.target_id].image, r.image),
+        cosine_original=cosine(e, clean[r.source_id]),
+        cosine_target=cosine(e, clean[r.target_id]),
         label_after=r.label_after,
-    ) for i, (r, x0, xt) in enumerate(zip(records, sources, targets))]
+    ) for r, e in zip(records, optimized)]
 
 
 def _mean_std_excluding_inf(values):

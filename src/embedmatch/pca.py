@@ -26,7 +26,7 @@ class PCABasis:
 
 
 def _as_matrix(embeddings) -> np.ndarray:
-    rows = [np.asarray(getattr(e, "values", e), dtype=np.float64) for e in embeddings]
+    rows = [np.asarray(e, dtype=np.float64) for e in embeddings]
     lengths = {r.shape for r in rows}
     if len(lengths) != 1 or rows[0].ndim != 1:
         raise ShapeError(f"fit_pca: embeddings must share one 1-d length, got {lengths}")
@@ -56,7 +56,7 @@ def fit_pca(embeddings, k: int = 6) -> PCABasis:
 
 def project(e, basis: PCABasis) -> np.ndarray:
     """Coordinates of one embedding in the fitted component basis."""
-    v = np.asarray(getattr(e, "values", e), dtype=np.float64)
+    v = np.asarray(e, dtype=np.float64)
     if v.shape != basis.mean.shape:
         raise ShapeError(f"project: length {v.shape} vs basis {basis.mean.shape}")
     return (v - basis.mean) @ basis.components.T

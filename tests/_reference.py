@@ -3,13 +3,15 @@
 An independent float64 re-implementation of the network, which shares no
 code with embedmatch.model: a straight-line numpy forward pass kept in 64-bit
 end to end, so finite-difference gradient checks are not limited by float32
-storage noise.  Beside it: a central-difference gradient, a one-image-at-a-time
-recompute of the match success rate, and the analytic size of a weight file.
+storage noise.  Beside it: a central-difference gradient, one-image-at-a-time
+recomputes of the match success rate and of the per-record metrics, and the
+analytic size of a weight file.
 """
 
 import numpy as np
 
-from embedmatch.model import expected_shapes, predict
+from embedmatch.metrics import per_record_metrics
+from embedmatch.model import embed, expected_shapes, predict
 from embedmatch.weights_io import _HPARAM_FIELDS, HPARAMS_NAME
 
 LN_EPS = 1e-6
@@ -125,6 +127,14 @@ def match_success_rate(records, weights, kind: str) -> float:
         raise ValueError("no records")
     hits = sum(int(predict(r.image, weights, kind) == r.label_target_true) for r in records)
     return hits / len(records)
+
+
+def record_metrics(records, by_id, weights, kind: str):
+    """per_record_metrics over embeddings computed one image at a time with embed."""
+    clean = {i: embed(by_id[i].image, weights, kind).values
+             for r in records for i in (r.source_id, r.target_id)}
+    optimized = [embed(r.image, weights, kind).values for r in records]
+    return per_record_metrics(records, items_by_id=by_id, clean=clean, optimized=optimized)
 
 
 def file_size(config) -> int:

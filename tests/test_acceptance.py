@@ -13,14 +13,15 @@ import time
 import numpy as np
 import pytest
 
-from _reference import finite_diff_gradient, match_success_rate, reference_matching_loss
+from _reference import (finite_diff_gradient, match_success_rate, record_metrics,
+                        reference_matching_loss)
 from conftest import random_image, tiny_config
 
 from embedmatch.attack import PRMConfig, build_pairs, prm, project, run_suite
 from embedmatch.cli import main as cli_main
 from embedmatch.data import generate_synthetic
 from embedmatch.detector import sweep
-from embedmatch.metrics import aggregate, cosine, per_record_metrics, psnr, ssim
+from embedmatch.metrics import aggregate, cosine, psnr, ssim
 from embedmatch.model import ModelConfig, embed, matching_loss_grad_embed, predict
 from embedmatch.pca import fit_pca
 from embedmatch.pca import project as pca_project
@@ -50,8 +51,7 @@ def suite(desk_model, desk_dataset):
     elapsed = time.monotonic() - start
     assert not failures
     clean_acc = evaluate(weights, desk_dataset["test"])
-    rows = per_record_metrics(records, items_by_id=desk_dataset["by_id"], weights=weights,
-                              kind=ATTACK_KIND)
+    rows = record_metrics(records, desk_dataset["by_id"], weights, ATTACK_KIND)
     report = aggregate(records, rows, clean_acc[ATTACK_KIND])
     return {"records": records, "report": report, "clean_acc": clean_acc,
             "elapsed": elapsed, "cfg": cfg}
@@ -171,7 +171,7 @@ def test_criterion_5_cosine_separation(suite, desk_model, desk_dataset):
         loss0 = 0.5 * float(np.sum((e0.values.astype(np.float64) - t64) ** 2))
         lossf = 0.5 * float(np.sum((ef.values.astype(np.float64) - t64) ** 2))
         assert lossf <= loss0 * (1 + 1e-9)
-        assert cosine(ef, target) >= cosine(e0, target) - 1e-9
+        assert cosine(ef.values, target.values) >= cosine(e0.values, target.values) - 1e-9
     _ok(5, f"mean cos(optimized,target) {report.mean_cosine_target:.3f} vs "
            f"cos(optimized,original) {report.mean_cosine_original:.3f} "
            f"(margin {margin:.3f} >= 0.3); progress held on all {len(suite['records'])} pairs")
@@ -199,7 +199,7 @@ def test_criterion_6_metric_identities(suite, desk_model):
 @pytest.mark.slow
 def test_criterion_7_pca_contract(desk_model, desk_dataset):
     weights, _ = desk_model
-    embeddings = [embed(it.image, weights, ATTACK_KIND)
+    embeddings = [embed(it.image, weights, ATTACK_KIND).values
                   for it in desk_dataset["test"][:40]]
     basis_a = fit_pca(embeddings, k=6)
     basis_b = fit_pca(list(embeddings), k=6)

@@ -1,16 +1,25 @@
 """CLI exit codes, pipeline smoke, idempotence, and the report invariant."""
 
+import csv
+import hashlib
 import json
 import os
 import shutil
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from _reference import record_metrics
+
+from embedmatch import model
 from embedmatch.cli import main
-from embedmatch.data import load_dataset
+from embedmatch.data import load_dataset, split
+from embedmatch.metrics import aggregate
 from embedmatch.records_io import read_records, write_records
+from embedmatch.seeding import derive_seed
+from embedmatch.train import evaluate
 from embedmatch.weights_io import load_weights, save_weights
 
 SMALL_GEN = ["--num-per-class", "20", "--num-classes", "2", "--image-size", "16"]
@@ -100,12 +109,14 @@ def test_non_finite_weights_is_data_error(pipeline, tmp_path, capsys):
     ("detect", "--draws", "0"),
     ("detect", "--sigmas", "-0.1"),
     ("detect", "--sigmas", "0.05,nan"),
+    ("detect", "--sigmas", "inf"),
     ("attack", "--trace-every", "0"),
     ("attack", "--eta", "-1"),
     ("attack", "--num-pairs", "0"),
     ("attack", "--eta", "nan"),
     ("attack", "--eta", "inf"),
     ("attack", "--conv-threshold", "nan"),
+    ("attack", "--conv-threshold", "inf"),
     ("attack", "--workers", "0"),
     ("attack", "--workers", "-1"),
     ("train", "--epochs", "0"),
@@ -226,24 +237,63 @@ def test_metrics_project_detect_report(pipeline):
     assert (pipeline / "attack" / "summary.txt").exists()
 
     # report values equal recomputation from the raw records (no report-only math)
-    from embedmatch.data import load_dataset
-    from embedmatch.metrics import aggregate, per_record_metrics
-    from embedmatch.train import evaluate
-    from embedmatch.weights_io import load_weights
-    from embedmatch.cli import _split_items
-    weights = load_weights(pipeline / "model" / "weights.vitw")
-    items = load_dataset(pipeline / "data" / "manifest.csv")
-    records = read_records(pipeline / "attack" / "records.jsonl")
-    _, _, test_items = _split_items(items, 7)
-    clean = evaluate(weights, test_items)["mil_mean"]
-    rows = per_record_metrics(records, items_by_id={it.id: it for it in items},
-                              weights=weights, kind="mil_mean")
-    expected = aggregate(records, rows, clean)
+    weights, by_id, records = _inputs(pipeline)
+    clean = evaluate(weights, _test_split(by_id, 7))["mil_mean"]
+    expected = aggregate(records, record_metrics(records, by_id, weights, "mil_mean"), clean)
     for key, value in expected.to_dict().items():
         assert report["metrics"][key] == pytest.approx(value), key
 
 
-@pytest.mark.parametrize("case", ["sweep", "manifest", "records", "records-number"])
+def _inputs(root):
+    """The pipeline's weights, dataset items by id and attack records."""
+    items = load_dataset(root / "data" / "manifest.csv")
+    return (load_weights(root / "model" / "weights.vitw"), {it.id: it for it in items},
+            read_records(root / "attack" / "records.jsonl"))
+
+
+def _test_split(by_id, seed):
+    return [by_id[i] for i in split(list(by_id), derive_seed(seed, "split")).test]
+
+
+@pytest.mark.parametrize("command", ["metrics", "project", "detect", "report"])
+def test_analysis_command_runs_each_image_forward_once(pipeline, tmp_path, monkeypatch,
+                                                       command):
+    seen = Counter()
+    record_forward = model.record_forward
+
+    def counting(images, *args, **kwargs):
+        seen.update(hashlib.sha256(x.tobytes()).hexdigest() for x in images)
+        return record_forward(images, *args, **kwargs)
+
+    monkeypatch.setattr(model, "record_forward", counting)
+    out = tmp_path / "out"
+    argv = (["report", "--run", str(pipeline / "attack"), "--out", str(out)]
+            if command == "report" else [command] + _analysis_args(pipeline, out))
+    assert main(argv) == 0
+    assert seen and max(seen.values()) == 1, seen.most_common(1)
+
+
+def test_metrics_under_another_seed_reads_images_off_its_test_split(pipeline, tmp_path):
+    # the records come from seed 7; seed 8's test split lacks some of their images
+    out = tmp_path / "out"
+    assert main(["metrics"] + _analysis_args(pipeline, out) + ["--seed", "8"]) == 0
+    weights, by_id, records = _inputs(pipeline)
+    test_items = _test_split(by_id, 8)
+    named = {i for r in records for i in (r.source_id, r.target_id)}
+    assert named - {it.id for it in test_items}
+    with (out / "per_record.csv").open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    expected = record_metrics(records, by_id, weights, "mil_mean")
+    assert len(rows) == len(expected)
+    for row, m in zip(rows, expected):
+        for key, value in m.__dict__.items():
+            assert type(value)(row[key]) == value, key
+    report = json.loads((out / "metrics.json").read_text())
+    assert report["clean_accuracy"] == evaluate(weights, test_items)["mil_mean"]
+
+
+@pytest.mark.parametrize("case", ["sweep", "sweep-short-row", "manifest", "manifest-kind",
+                                  "manifest-kind-list", "records", "records-number"])
 def test_input_missing_a_key_is_data_error(pipeline, tmp_path, capsys, case):
     run = tmp_path / "run"
     shutil.copytree(pipeline / "attack", run,
@@ -251,9 +301,14 @@ def test_input_missing_a_key_is_data_error(pipeline, tmp_path, capsys, case):
     records = run / "records.jsonl"
     if case == "sweep":
         (run / "sweep.csv").write_text("sigma,clean\n0.05,0.0\n")
-    elif case == "manifest":
+    elif case == "sweep-short-row":
+        (run / "sweep.csv").write_text("sigma,clean_rate,attacked_rate\n0.05,0.0\n")
+    elif case.startswith("manifest"):
         manifest = json.loads((run / "manifest-attack.json").read_text())
-        del manifest["args"]["weights"]
+        if case == "manifest":
+            del manifest["args"]["weights"]
+        else:
+            manifest["args"]["kind"] = "cnn" if case == "manifest-kind" else ["mil"]
         (run / "manifest-attack.json").write_text(json.dumps(manifest))
     elif case == "records":
         first, *rest = records.read_text().splitlines()
@@ -267,7 +322,10 @@ def test_input_missing_a_key_is_data_error(pipeline, tmp_path, capsys, case):
             if case.startswith("records") else ["report", "--run", str(run), "--out", str(out)])
     assert main(argv) == 2
     where = {"sweep": "sweep.csv: row 2: missing key 'clean_rate'",
+             "sweep-short-row": "sweep.csv: row 2: missing key 'attacked_rate'",
              "manifest": "manifest-attack.json: args: missing key 'weights'",
+             "manifest-kind": "manifest-attack.json: args: unknown kind 'cnn'",
+             "manifest-kind-list": "manifest-attack.json: args: unknown kind ['mil']",
              "records": "records.jsonl: line 1: missing key 'label_after'",
              "records-number": "records.jsonl: line 1: missing key 'source_id'"}[case]
     err = capsys.readouterr().err

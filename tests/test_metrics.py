@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _reference import match_success_rate
+from _reference import match_success_rate, record_metrics
 from conftest import random_image, tiny_config
 
 from embedmatch.attack import PRMConfig, build_pairs, run_suite
 from embedmatch.autodiff import ContractError, ShapeError
 from embedmatch.data import LabelledImage
-from embedmatch.metrics import aggregate, cosine, per_record_metrics, psnr, ssim
+from embedmatch.metrics import aggregate, cosine, psnr, ssim
 from embedmatch.weights_io import init_weights
 
 settings.register_profile("ci", deadline=None)
@@ -109,7 +109,7 @@ def small_suite():
 
 
 def _aggregate(records, clean_accuracy, by_id, weights):
-    rows = per_record_metrics(records, items_by_id=by_id, weights=weights, kind="mil_mean")
+    rows = record_metrics(records, by_id, weights, "mil_mean")
     return aggregate(records, rows, clean_accuracy)
 
 
@@ -156,7 +156,7 @@ def test_aggregate_msr_equals_bruteforce_recompute(small_suite):
 def test_aggregate_single_record_equals_its_values(small_suite):
     _, weights, _, by_id, records = small_suite
     one = records[:1]
-    row = per_record_metrics(one, items_by_id=by_id, weights=weights, kind="mil_mean")[0]
+    row = record_metrics(one, by_id, weights, "mil_mean")[0]
     report = aggregate(one, [row], clean_accuracy=0.5)
     if math.isfinite(row.psnr_original):
         assert report.mean_psnr_original == pytest.approx(row.psnr_original)
@@ -167,7 +167,7 @@ def test_aggregate_single_record_equals_its_values(small_suite):
 def test_aggregate_mean_psnr_matches_manual_average(small_suite):
     _, weights, _, by_id, records = small_suite
     three = records[:3]
-    rows = per_record_metrics(three, items_by_id=by_id, weights=weights, kind="mil_mean")
+    rows = record_metrics(three, by_id, weights, "mil_mean")
     report = aggregate(three, rows, clean_accuracy=1.0)
     finite = [m.psnr_original for m in rows if math.isfinite(m.psnr_original)]
     assert report.mean_psnr_original == pytest.approx(sum(finite) / len(finite))
@@ -188,6 +188,6 @@ def test_aggregate_rejects_empty(small_suite):
     _, weights, _, by_id, records = small_suite
     with pytest.raises(ValueError):
         aggregate([], [], clean_accuracy=1.0)
-    rows = per_record_metrics(records, items_by_id=by_id, weights=weights, kind="mil_mean")
+    rows = record_metrics(records, by_id, weights, "mil_mean")
     with pytest.raises(ValueError):  # rows must pair one to one with the records
         aggregate(records, rows[:-1], clean_accuracy=1.0)
