@@ -311,6 +311,18 @@ def _summary_text(report, attack_args, sweep_rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _sweep_cell(text: str, where: str, rate: bool) -> float:
+    """A sweep.csv cell as a float: a rate in [0, 1], a sigma finite and >= 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0.0 and (value <= 1.0 or not rate)):
+        raise ManifestError(f"{where}: expected a finite number "
+                            f"{'in [0, 1]' if rate else '>= 0'}, got {text!r}")
+    return value
+
+
 def cmd_report(args) -> None:
     run_dir = _require(args.run, "--run")
     # a path given on the command line must exist; the run directory's own files are optional
@@ -329,7 +341,8 @@ def cmd_report(args) -> None:
         with open(sweep_path, newline="") as fh:
             for n, row in enumerate(csv.DictReader(fh), start=2):
                 require_keys(row, SWEEP_COLUMNS, f"{sweep_path}: row {n}")
-                sweep_rows.append({k: float(row[k]) for k in SWEEP_COLUMNS})
+                sweep_rows.append({k: _sweep_cell(row[k], f"{sweep_path}: row {n}: column {k!r}",
+                                                  rate=k != "sigma") for k in SWEEP_COLUMNS})
     weights, by_id, records = _load_inputs(attack_args["weights"], attack_args["data"],
                                            run_dir / "records.jsonl", via="--run")
     report, _ = _analyze(weights, by_id, records, KIND_FLAGS[attack_args["kind"]], seed)

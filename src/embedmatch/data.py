@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -255,21 +256,15 @@ def lesion_count_range(label: int) -> tuple[int, int]:
     return 2 * label, 2 * label + 2
 
 
-def _disc_mask(size, cx, cy):
-    yy, xx = np.mgrid[0:size, 0:size]
-    return (xx - cx) ** 2 + (yy - cy) ** 2, yy, xx
-
-
 def _render(size: int, label: int, rng: np.random.Generator) -> np.ndarray:
-    img = np.full((size, size, 3), 0.03)
     cx = size / 2 + rng.uniform(-0.5, 0.5)
     cy = size / 2 + rng.uniform(-0.5, 0.5)
     radius = 0.42 * size * rng.uniform(0.99, 1.01)
-    r2, yy, xx = _disc_mask(size, cx, cy)
-    inside = r2 <= radius**2
+    grid = np.arange(size)
+    r2 = (grid[None, :] - cx) ** 2 + (grid[:, None] - cy) ** 2
     vignette = 1.0 - 0.3 * (r2 / radius**2)
-    tint = _DISC_COLOR * rng.uniform(0.98, 1.02, size=3)
-    img[inside] = np.clip(tint, 0, 1) * vignette[inside, None]
+    tint = _DISC_COLOR * rng.uniform(0.98, 1.02, size=3)  # at most 0.633, so no clip
+    img = np.where((r2 <= radius**2)[:, :, None], tint * vignette[:, :, None], 0.03)
 
     lo, hi = lesion_count_range(label)
     count = int(rng.integers(lo, hi))
@@ -284,10 +279,14 @@ def _render(size: int, label: int, rng: np.random.Generator) -> np.ndarray:
                    for px, py, pr in placed):
                 break
         placed.append((bx, by, br))
-        d2 = (xx - bx) ** 2 + (yy - by) ** 2
-        alpha = np.clip(1.0 - d2 / br**2, 0.0, 1.0) ** 0.5
-        color = np.clip(_LESION_COLOR * rng.uniform(0.98, 1.02, size=3), 0, 1)
-        img = img * (1 - alpha[:, :, None]) + color * alpha[:, :, None]
+        # alpha is 0 outside the blob's bounding box, where the blend keeps every bit
+        cols = slice(max(math.floor(bx - br), 0), math.ceil(bx + br) + 1)
+        rows = slice(max(math.floor(by - br), 0), math.ceil(by + br) + 1)
+        d2 = (grid[None, cols] - bx) ** 2 + (grid[rows, None] - by) ** 2
+        alpha = np.maximum(1.0 - d2 / br**2, 0.0)[:, :, None] ** 0.5
+        color = _LESION_COLOR * rng.uniform(0.98, 1.02, size=3)  # at most 0.969, so no clip
+        box = img[rows, cols]
+        box[...] = box * (1 - alpha) + color * alpha
 
     img = img + rng.normal(0.0, NOISE_SIGMA, img.shape)
     return np.clip(img, 0.0, 1.0).astype(np.float32)

@@ -3,7 +3,9 @@
 PSNR runs on float images with peak 1.0 and returns +inf for identical
 inputs; infinite values are excluded from dataset means (the exclusion count
 is reported).  SSIM follows the canonical definition: 11x11 Gaussian window
-with sigma 1.5, K1=0.01, K2=0.03, valid windows only, channels averaged.
+with sigma 1.5, K1=0.01, K2=0.03, valid windows only, channels averaged.  The window
+is an outer product of 1-D Gaussians, so two banded matmuls (rows @ map @ cols.T) take
+every window mean of the maps x, y, x*x, y*y, x*y of all channels at once.
 """
 
 from __future__ import annotations
@@ -33,19 +35,14 @@ def psnr(a: np.ndarray, b: np.ndarray, peak: float = 1.0) -> float:
     return 10.0 * math.log10(peak * peak / mse)
 
 
-def _gaussian_kernel(size: int, sigma: float) -> np.ndarray:
-    r = np.arange(size, dtype=np.float64) - (size - 1) / 2.0
-    g = np.exp(-(r**2) / (2.0 * sigma**2))
-    k = np.outer(g, g)
-    return k / k.sum()
-
-
-_KERNEL = _gaussian_kernel(SSIM_WINDOW, SSIM_SIGMA)
-
-
-def _windowed_mean(x: np.ndarray) -> np.ndarray:
-    windows = np.lib.stride_tricks.sliding_window_view(x, (SSIM_WINDOW, SSIM_WINDOW))
-    return np.tensordot(windows, _KERNEL, axes=([2, 3], [0, 1]))
+def _window_matrix(n: int) -> np.ndarray:
+    """Banded (n - 10, n) matrix whose row i holds the 1-D Gaussian weights of window i."""
+    r = np.arange(SSIM_WINDOW) - (SSIM_WINDOW - 1) / 2.0
+    g = np.exp(-(r**2) / (2.0 * SSIM_SIGMA**2))
+    starts = np.arange(n - SSIM_WINDOW + 1)[:, None]
+    band = np.zeros((len(starts), n))
+    band[starts, starts + np.arange(SSIM_WINDOW)] = g / g.sum()
+    return band
 
 
 def ssim(a: np.ndarray, b: np.ndarray, peak: float = 1.0) -> float:
@@ -55,8 +52,7 @@ def ssim(a: np.ndarray, b: np.ndarray, peak: float = 1.0) -> float:
     if a.shape != b.shape:
         raise ShapeError(f"ssim: dims {a.shape} vs {b.shape}")
     if a.ndim == 2:
-        a = a[:, :, None]
-        b = b[:, :, None]
+        a, b = a[:, :, None], b[:, :, None]
     if a.ndim != 3:
         raise ShapeError(f"ssim: expected (H, W, C) images, got {a.shape}")
     if a.shape[0] < SSIM_WINDOW or a.shape[1] < SSIM_WINDOW:
@@ -64,18 +60,15 @@ def ssim(a: np.ndarray, b: np.ndarray, peak: float = 1.0) -> float:
             f"ssim: image {a.shape[:2]} smaller than {SSIM_WINDOW}x{SSIM_WINDOW} window")
     c1 = (SSIM_K1 * peak) ** 2
     c2 = (SSIM_K2 * peak) ** 2
-    values = []
-    for ch in range(a.shape[2]):
-        x = a[:, :, ch].astype(np.float64)
-        y = b[:, :, ch].astype(np.float64)
-        mx, my = _windowed_mean(x), _windowed_mean(y)
-        vx = _windowed_mean(x * x) - mx * mx
-        vy = _windowed_mean(y * y) - my * my
-        cxy = _windowed_mean(x * y) - mx * my
-        num = (2 * mx * my + c1) * (2 * cxy + c2)
-        den = (mx * mx + my * my + c1) * (vx + vy + c2)
-        values.append(float(np.mean(num / den)))
-    return float(np.mean(values))
+    x, y = (np.moveaxis(v, 2, 0).astype(np.float64) for v in (a, b))  # (C, H, W)
+    stack = np.stack([x, y, x * x, y * y, x * y])
+    mx, my, mxx, myy, mxy = _window_matrix(a.shape[0]) @ stack @ _window_matrix(a.shape[1]).T
+    vx = mxx - mx * mx
+    vy = myy - my * my
+    cxy = mxy - mx * my
+    num = (2 * mx * my + c1) * (2 * cxy + c2)
+    den = (mx * mx + my * my + c1) * (vx + vy + c2)
+    return float(np.mean(np.mean(num / den, axis=(1, 2))))
 
 
 def cosine(u, v) -> float:
@@ -163,16 +156,11 @@ def aggregate(records, rows, clean_accuracy: float) -> MetricsReport:
     """
     if not records or len(rows) != len(records):
         raise ValueError(f"need one metrics row per record, got {len(rows)} for {len(records)}")
-    psnr_orig = [m.psnr_original for m in rows]
-    psnr_tgt = [m.psnr_target for m in rows]
-    ssim_orig = [m.ssim_original for m in rows]
-    ssim_tgt = [m.ssim_target for m in rows]
-    cos_orig = [m.cosine_original for m in rows]
-    cos_tgt = [m.cosine_target for m in rows]
+    col = {f: [getattr(m, f) for m in rows] for f in RecordMetrics.__dataclass_fields__}
     attacked = sum(int(r.label_after == r.label_source_true) for r in records) / len(records)
     msr = sum(int(r.label_after == r.label_target_true) for r in records) / len(records)
-    mpo, spo, excl_o = _mean_std_excluding_inf(psnr_orig)
-    mpt, spt, excl_t = _mean_std_excluding_inf(psnr_tgt)
+    mpo, spo, excl_o = _mean_std_excluding_inf(col["psnr_original"])
+    mpt, spt, excl_t = _mean_std_excluding_inf(col["psnr_target"])
     return MetricsReport(
         clean_accuracy=float(clean_accuracy),
         attacked_accuracy=attacked,
@@ -183,11 +171,11 @@ def aggregate(records, rows, clean_accuracy: float) -> MetricsReport:
         mean_psnr_target=mpt,
         std_psnr_target=spt,
         psnr_excluded=excl_o + excl_t,
-        mean_ssim_original=float(np.mean(ssim_orig)),
-        std_ssim_original=float(np.std(ssim_orig)),
-        mean_ssim_target=float(np.mean(ssim_tgt)),
-        std_ssim_target=float(np.std(ssim_tgt)),
-        mean_cosine_original=float(np.mean(cos_orig)),
-        mean_cosine_target=float(np.mean(cos_tgt)),
+        mean_ssim_original=float(np.mean(col["ssim_original"])),
+        std_ssim_original=float(np.std(col["ssim_original"])),
+        mean_ssim_target=float(np.mean(col["ssim_target"])),
+        std_ssim_target=float(np.std(col["ssim_target"])),
+        mean_cosine_original=float(np.mean(col["cosine_original"])),
+        mean_cosine_target=float(np.mean(col["cosine_target"])),
         n_records=len(records),
     )

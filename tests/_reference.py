@@ -4,8 +4,8 @@ An independent float64 re-implementation of the network, which shares no
 code with embedmatch.model: a straight-line numpy forward pass kept in 64-bit
 end to end, so finite-difference gradient checks are not limited by float32
 storage noise.  Beside it: a central-difference gradient, one-image-at-a-time
-recomputes of the match success rate and of the per-record metrics, and the
-analytic size of a weight file.
+recomputes of the match success rate and of the per-record metrics, SSIM by
+its direct 121-tap 2-D window, and the analytic size of a weight file.
 """
 
 import numpy as np
@@ -135,6 +135,34 @@ def record_metrics(records, by_id, weights, kind: str):
              for r in records for i in (r.source_id, r.target_id)}
     optimized = [embed(r.image, weights, kind).values for r in records]
     return per_record_metrics(records, items_by_id=by_id, clean=clean, optimized=optimized)
+
+
+def reference_ssim(a, b, peak=1.0, size=11, sigma=1.5):
+    """SSIM as one 2-D Gaussian window of size x size taps slid over each channel."""
+    r = np.arange(size, dtype=np.float64) - (size - 1) / 2.0
+    g = np.exp(-(r**2) / (2.0 * sigma**2))
+    kernel = np.outer(g, g) / np.outer(g, g).sum()
+    a = np.asarray(a, np.float64)
+    b = np.asarray(b, np.float64)
+    if a.ndim == 2:
+        a, b = a[:, :, None], b[:, :, None]
+    c1, c2 = (0.01 * peak) ** 2, (0.03 * peak) ** 2
+
+    def windowed_mean(x):
+        windows = np.lib.stride_tricks.sliding_window_view(x, (size, size))
+        return np.tensordot(windows, kernel, axes=([2, 3], [0, 1]))
+
+    values = []
+    for ch in range(a.shape[2]):
+        x, y = a[:, :, ch], b[:, :, ch]
+        mx, my = windowed_mean(x), windowed_mean(y)
+        vx = windowed_mean(x * x) - mx * mx
+        vy = windowed_mean(y * y) - my * my
+        cxy = windowed_mean(x * y) - mx * my
+        num = (2 * mx * my + c1) * (2 * cxy + c2)
+        den = (mx * mx + my * my + c1) * (vx + vy + c2)
+        values.append(float(np.mean(num / den)))
+    return float(np.mean(values))
 
 
 def file_size(config) -> int:

@@ -349,6 +349,31 @@ def test_empty_records_is_usage_error(pipeline, tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("column, cell, expected", [
+    ("sigma", "abc", "finite number >= 0, got 'abc'"),
+    ("sigma", "nan", "finite number >= 0, got 'nan'"),
+    ("sigma", "inf", "finite number >= 0, got 'inf'"),
+    ("sigma", "-0.05", "finite number >= 0, got '-0.05'"),
+    ("clean_rate", "-3", "finite number in [0, 1], got '-3'"),
+    ("clean_rate", "nan", "finite number in [0, 1], got 'nan'"),
+    ("attacked_rate", "1.5", "finite number in [0, 1], got '1.5'"),
+    ("attacked_rate", "-inf", "finite number in [0, 1], got '-inf'"),
+])
+def test_bad_sweep_cell_is_data_error(pipeline, tmp_path, capsys, column, cell, expected):
+    run = tmp_path / "run"
+    shutil.copytree(pipeline / "attack", run,
+                    ignore=shutil.ignore_patterns("sweep.csv", "projections.csv"))
+    row = {"sigma": "0.05", "clean_rate": "0.0", "attacked_rate": "0.5", column: cell}
+    (run / "sweep.csv").write_text("sigma,clean_rate,attacked_rate\n0.1,0.0,0.25\n"
+                                   + ",".join(row.values()) + "\n")
+    out = tmp_path / "out"
+    assert main(["report", "--run", str(run), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error")
+    assert f"{run / 'sweep.csv'}: row 3: column {column!r}: expected a {expected}" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag", ["--sweep", "--projections"])
 def test_report_path_flag_naming_missing_file_is_usage_error(pipeline, tmp_path, capsys, flag):
     # a run directory holding only the attack's outputs: its own sweep.csv and

@@ -1,6 +1,7 @@
 """File output, netpbm IO, manifests, deterministic splits, and the synthetic generator."""
 
 import ast
+import hashlib
 import re
 from pathlib import Path
 
@@ -208,6 +209,24 @@ def test_generator_deterministic_bitwise():
     b = generate_synthetic(10, 3, 32, seed=42)
     assert all(x.image.tobytes() == y.image.tobytes() and x.id == y.id and x.label == y.label
                for x, y in zip(a, b))
+
+
+@pytest.mark.parametrize("case, digest", [
+    ((1, 2, 1, 0), "d6baa3b2cf7d91ae9ded2e6f7a2b438b2a495cd5ad24de9268b9cfaab8feb555"),
+    ((2, 3, 2, 5), "82e6395e34f0c73f29f1438693553bc45d33eb200dd4c246d2a6565f5ae81cc0"),
+    ((3, 2, 7, 11), "f71ac4163595b8679a76ac0f0aeed76dba9f60c160e04030ce47e66555156c97"),
+    ((2, 4, 16, 3), "75065ce409463c05553962cd6cbbabab2d5bd890de0ad2075c4723e4d0a0c523"),
+    ((2, 3, 32, 1), "9820cef620e72d8c0180da4370df7ee18b71a41cf4f016dc1a1f03524de03ef9"),
+    ((1, 3, 64, 9), "d06d93991bf41153381f812ae6fe3e4d72a3fbf65d8d6d76443bffe81724973f"),
+])
+def test_generator_golden_bits(case, digest):
+    # (num_per_class, num_classes, image_size, seed); a faster renderer must keep every bit
+    h = hashlib.sha256()
+    for it in generate_synthetic(*case):
+        h.update(it.id.encode())
+        h.update(b"%d" % it.label)
+        h.update(it.image.tobytes())
+    assert h.hexdigest() == digest
 
 
 def test_generator_pixels_in_range():

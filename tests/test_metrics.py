@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _reference import match_success_rate, record_metrics
+from _reference import match_success_rate, record_metrics, reference_ssim
 from conftest import random_image, tiny_config
 
 from embedmatch.attack import PRMConfig, build_pairs, run_suite
@@ -66,6 +66,16 @@ def test_ssim_symmetry(data):
     b = rng.random((14, 14, 3)).astype(np.float32)
     assert ssim(a, b) == pytest.approx(ssim(b, a), abs=1e-9)
     assert -1.0 <= ssim(a, b) <= 1.0
+
+
+@pytest.mark.parametrize("shape", [(13, 29, 1), (13, 29, 3), (29, 13, 1), (29, 13, 3),
+                                   (13, 29), (29, 13)])
+def test_ssim_matches_direct_2d_window(shape):
+    # non-square images, so a swap of the row and column filters cannot pass
+    rng = np.random.default_rng(sum(shape))
+    a = rng.random(shape).astype(np.float32)
+    b = np.clip(a + rng.normal(0.0, 0.1, shape), 0.0, 1.0).astype(np.float32)
+    assert abs(ssim(a, b) - reference_ssim(a, b)) <= 1e-12
 
 
 def test_ssim_window_contract():
