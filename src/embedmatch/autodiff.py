@@ -17,7 +17,10 @@ gradient of a shared operand is one product over all batch rows, not a sum of
 per-item products.
 
 The one way to differentiate is :meth:`Tape.backward`, seeded at head nodes
-with gradients the caller computes analytically; no loss is recorded.
+with gradients the caller computes analytically; no loss is recorded.  A pass
+that nothing differentiates runs on :class:`Forward` instead: the same
+``leaf``/``apply``/``value`` calls and the same primitive forwards, so the
+same values and errors, but no tape.
 
 Tapes are single-use, single-thread objects.  Recorded arrays are treated as
 immutable; callers must not mutate them afterwards.
@@ -79,15 +82,7 @@ class Tape:
         mean_pool, concat.  Returns the new node id.  The node keeps
         backward context only when a gradient can reach it.
         """
-        try:
-            fwd, _ = _PRIMITIVES[op]
-        except KeyError:
-            raise ContractError(f"unknown primitive {op!r}") from None
-        arrays = [self.nodes[i].value for i in inputs]
-        try:
-            out, ctx = fwd(attrs, arrays)
-        except KeyError as e:  # the only KeyError a forward raises is a missing attr
-            raise ContractError(f"{op}: missing attr {e.args[0]!r}") from None
+        out, ctx = _forward(op, [self.nodes[i].value for i in inputs], attrs)
         requires = any(self.nodes[i].requires for i in inputs)
         self.nodes.append(Node(op, tuple(inputs), out, attrs, ctx if requires else (), requires))
         return len(self.nodes) - 1
@@ -127,6 +122,39 @@ class Tape:
                     continue
                 grads[i] = grads[i] + gi if i in grads else gi
         return leaf_grads
+
+
+class Forward:
+    """A forward-only pass with a Tape's ``leaf``/``apply``/``value`` calls.
+
+    Node ids are the float32 values themselves: nothing is recorded, no
+    backward context is kept, and an activation lives only as long as the
+    caller holds it.
+    """
+
+    def leaf(self, value: np.ndarray, *, watch: bool = False) -> np.ndarray:
+        if watch:
+            raise ContractError("a forward-only pass has no gradients to watch")
+        return np.asarray(value, dtype=np.float32)
+
+    def value(self, nid: np.ndarray) -> np.ndarray:
+        return nid
+
+    def apply(self, op: str, *inputs: np.ndarray, **attrs) -> np.ndarray:
+        """Run one primitive forward, as :meth:`Tape.apply` does; returns its value."""
+        return _forward(op, inputs, attrs)[0]
+
+
+def _forward(op: str, arrays, attrs: dict):
+    """(output, ctx) of one primitive forward; a bad op or a missing attr is a ContractError."""
+    try:
+        fwd, _ = _PRIMITIVES[op]
+    except KeyError:
+        raise ContractError(f"unknown primitive {op!r}") from None
+    try:
+        return fwd(attrs, arrays)
+    except KeyError as e:  # the only KeyError a forward raises is a missing attr
+        raise ContractError(f"{op}: missing attr {e.args[0]!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -190,11 +218,12 @@ def _fwd_layer_norm(attrs, arrays):
             f"layer_norm: expected x (..., m, n) with gain/bias (n,), got "
             f"{x.shape}, {gain.shape}, {bias.shape}"
         )
+    # the float64 operations of numpy's mean and var, without their Python wrappers
+    n = x.shape[-1]
     x64 = _f64(x)
-    mu = x64.mean(axis=-1, keepdims=True)
-    var = x64.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
-    xhat = (x64 - mu) * inv
+    c = x64 - np.add.reduce(x64, -1, keepdims=True) / n
+    inv = 1.0 / np.sqrt(np.add.reduce(c * c, -1, keepdims=True) / n + LAYER_NORM_EPS)
+    xhat = c * inv
     out = (xhat * _f64(gain) + _f64(bias)).astype(np.float32)
     return out, (xhat, inv)
 
@@ -205,8 +234,8 @@ def _vjp_layer_norm(attrs, ctx, g, arrays, need):
     gx = ggain = gbias = None
     if need[0]:
         dxhat = g * _f64(arrays[1])
-        m1 = dxhat.mean(axis=-1, keepdims=True)
-        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+        m1 = np.add.reduce(dxhat, -1, keepdims=True) / n
+        m2 = np.add.reduce(dxhat * xhat, -1, keepdims=True) / n
         gx = inv * (dxhat - m1 - xhat * m2)
     if need[1]:
         ggain = (g * xhat).reshape(-1, n).sum(axis=0)
@@ -321,7 +350,7 @@ def _fwd_mean_pool(attrs, arrays):
     r0, r1 = attrs["rows"]
     if x.ndim < 2 or not 0 <= r0 < r1 <= x.shape[-2]:
         raise ShapeError(f"mean_pool: rows=({r0},{r1}) invalid for input {x.shape}")
-    out = _f64(x[..., r0:r1, :]).mean(axis=-2, keepdims=True)
+    out = np.add.reduce(_f64(x[..., r0:r1, :]), -2, keepdims=True) / (r1 - r0)
     return out.astype(np.float32), ()
 
 

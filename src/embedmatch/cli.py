@@ -26,8 +26,8 @@ from pathlib import Path
 
 from . import __version__
 from .attack import AttackError, PairingError, PRMConfig, build_pairs, run_suite
-from .data import (ImageParseError, ManifestError, csv_text, generate_synthetic,
-                   load_dataset, require_keys, split, write_dataset, write_file)
+from .data import (ImageParseError, ManifestError, csv_text, dataset_index, generate_synthetic,
+                   load_dataset, load_items, require_keys, split, write_dataset, write_file)
 from .detector import DetectorConfig, sweep
 from .metrics import aggregate, per_record_metrics
 from .model import ModelConfig, outputs
@@ -101,10 +101,9 @@ def _write_run_manifest(out_dir: Path, command: str, args, seed: int, outputs) -
     write_file(out_dir / f"manifest-{command}.json", json.dumps(payload, indent=2) + "\n")
 
 
-def _split_items(by_id, seed: int):
-    """(train, validation, test) items of a dataset keyed by image id."""
-    parts = split(list(by_id), derive_seed(seed, "split"))
-    return tuple([by_id[i] for i in part] for part in (parts.train, parts.validation, parts.test))
+def _split(ids, seed: int):
+    """The dataset split of ``seed`` over image ids in manifest order."""
+    return split(list(ids), derive_seed(seed, "split"))
 
 
 # ---------------------------------------------------------------------------
@@ -140,8 +139,10 @@ def cmd_train(args) -> None:
         patch_size=args.patch_size, embed_dim=args.embed_dim, depth=args.depth,
         num_heads=args.num_heads, mlp_ratio=args.mlp_ratio, num_classes=num_classes)
     out = Path(args.out)
-    train_items, val_items, _ = _split_items({it.id: it for it in items}, seed)
-    weights, history = train(config, tcfg, train_items, val_items)
+    by_id = {it.id: it for it in items}
+    parts = _split(by_id, seed)
+    weights, history = train(config, tcfg, [by_id[i] for i in parts.train],
+                             [by_id[i] for i in parts.validation])
     weights_path = out / "weights.vitw"
     save_weights(weights, weights_path)
     history.to_csv(out / "history.csv")
@@ -161,10 +162,11 @@ def cmd_attack(args) -> None:
             raise UsageError(f"{flag} must be >= 1, got {value}")
     out = Path(args.out)
     weights = load_weights(_require(args.weights, "--weights"))
-    by_id = {it.id: it for it in load_dataset(_manifest_path(args.data))}
-    _, _, test_items = _split_items(by_id, seed)
+    index = dataset_index(_manifest_path(args.data))
+    by_id = load_items(index, _split(index, seed).test)  # pairs join test images only
     try:
-        pairs = build_pairs(test_items, derive_seed(seed, "pairs"), limit=args.num_pairs)
+        pairs = build_pairs(list(by_id.values()), derive_seed(seed, "pairs"),
+                            limit=args.num_pairs)
     except PairingError as e:
         raise UsageError(f"--data: {e}") from None
     records, failures = run_suite(pairs, weights, cfg, by_id, workers=args.workers)
@@ -178,49 +180,50 @@ def cmd_attack(args) -> None:
 
 
 def _load_inputs(weights_path, data_path, records_path, via: str | None = None):
-    """Weights, dataset items by id and records shared by the analysis commands and report.
+    """Weights, the dataset index and records shared by the analysis commands and report.
 
-    Messages name each path's flag, or ``via`` when all three came from one place.
+    No image is decoded here.  Messages name each path's flag, or ``via`` when all
+    three came from one place.
     """
     weights_flag, data_flag, records_flag = (via or f for f in ("--weights", "--data", "--records"))
     weights = load_weights(_require(weights_path, weights_flag))
-    by_id = {it.id: it for it in load_dataset(_manifest_path(data_path, data_flag))}
+    index = dataset_index(_manifest_path(data_path, data_flag))
     records = read_records(_require(records_path, records_flag))
     if not records:
         raise UsageError(f"{records_flag}: no records in {records_path}")
-    missing = next((i for r in records for i in (r.source_id, r.target_id) if i not in by_id), None)
+    missing = next((i for r in records for i in (r.source_id, r.target_id) if i not in index), None)
     if missing is not None:
         raise ManifestError(f"records name image {missing!r}, which is not in the dataset")
-    return weights, by_id, records
+    return weights, index, records
 
 
-def _embed_once(weights, by_id, records, seed: int):
-    """(test items, clean outputs by image id, optimized outputs), one outputs pass each.
+def _embed_once(weights, index, records, seed: int):
+    """(items by id, test ids, clean outputs by image id, optimized outputs).
 
-    The clean pass covers the test split of ``seed``, then each image a record names.
+    Decodes and embeds, once each and in one outputs pass, the test split of
+    ``seed`` and then each image a record names; the optimized images take a second pass.
     """
-    _, _, test_items = _split_items(by_id, seed)
-    ids = list(dict.fromkeys([it.id for it in test_items]
-                             + [i for r in records for i in (r.source_id, r.target_id)]))
-    clean = outputs([by_id[i].image for i in ids], weights)
-    return (test_items, {key: dict(zip(ids, rows)) for key, rows in clean.items()},
+    test_ids = _split(index, seed).test
+    by_id = load_items(index, test_ids + [i for r in records for i in (r.source_id, r.target_id)])
+    clean = outputs([it.image for it in by_id.values()], weights)
+    return (by_id, test_ids, {key: dict(zip(by_id, rows)) for key, rows in clean.items()},
             outputs([r.image for r in records], weights))
 
 
-def _analyze(weights, by_id, records, kind: str, seed: int):
+def _analyze(weights, index, records, kind: str, seed: int):
     """(aggregate report, per-record rows), each computed once; shared by metrics and report."""
-    test_items, clean, optimized = _embed_once(weights, by_id, records, seed)
-    correct = sum(int(clean[f"logits.{kind}"][it.id].argmax() == it.label) for it in test_items)
+    by_id, test_ids, clean, optimized = _embed_once(weights, index, records, seed)
+    correct = sum(int(clean[f"logits.{kind}"][i].argmax() == by_id[i].label) for i in test_ids)
     rows = per_record_metrics(records, items_by_id=by_id, clean=clean[kind],
                               optimized=optimized[kind])
-    return aggregate(records, rows, correct / len(test_items)), rows
+    return aggregate(records, rows, correct / len(test_ids)), rows
 
 
 def cmd_metrics(args) -> None:
     seed = _resolve_seed(args)
     out = Path(args.out)
-    weights, by_id, records = _load_inputs(args.weights, args.data, args.records)
-    report, rows = _analyze(weights, by_id, records, KIND_FLAGS[args.kind], seed)
+    weights, index, records = _load_inputs(args.weights, args.data, args.records)
+    report, rows = _analyze(weights, index, records, KIND_FLAGS[args.kind], seed)
     metrics_path = out / "metrics.json"
     write_file(metrics_path, json.dumps(report.to_dict(), indent=2) + "\n")
     names = list(rows[0].__dataclass_fields__)
@@ -234,11 +237,11 @@ def cmd_metrics(args) -> None:
 def cmd_project(args) -> None:
     seed = _resolve_seed(args)
     out = Path(args.out)
-    weights, by_id, records = _load_inputs(args.weights, args.data, args.records)
+    weights, index, records = _load_inputs(args.weights, args.data, args.records)
     kind = KIND_FLAGS[args.kind]
-    test_items, clean, optimized = _embed_once(weights, by_id, records, seed)
+    _, test_ids, clean, optimized = _embed_once(weights, index, records, seed)
     by_image = clean[kind]
-    basis = fit_pca([by_image[it.id] for it in test_items], k=6)
+    basis = fit_pca([by_image[i] for i in test_ids], k=6)
     table = [["id", "role"] + [f"pc{i}" for i in range(1, 7)]]
     for r, e1 in zip(records, optimized[kind]):
         for row_id, role, e in ((r.source_id, "original", by_image[r.source_id]),
@@ -262,8 +265,9 @@ def cmd_detect(args) -> None:
     for sigma in sigmas:
         _config(DetectorConfig, sigma=sigma, draws=args.draws)
     out = Path(args.out)
-    weights, by_id, records = _load_inputs(args.weights, args.data, args.records)
-    rows = sweep([by_id[r.source_id].image for r in records], [r.image for r in records],
+    weights, index, records = _load_inputs(args.weights, args.data, args.records)
+    sources = load_items(index, [r.source_id for r in records])
+    rows = sweep([sources[r.source_id].image for r in records], [r.image for r in records],
                  sigmas, weights, KIND_FLAGS[args.kind], derive_seed(seed, "detector"),
                  draws=args.draws)
     path = out / "sweep.csv"
@@ -343,9 +347,9 @@ def cmd_report(args) -> None:
                 require_keys(row, SWEEP_COLUMNS, f"{sweep_path}: row {n}")
                 sweep_rows.append({k: _sweep_cell(row[k], f"{sweep_path}: row {n}: column {k!r}",
                                                   rate=k != "sigma") for k in SWEEP_COLUMNS})
-    weights, by_id, records = _load_inputs(attack_args["weights"], attack_args["data"],
+    weights, index, records = _load_inputs(attack_args["weights"], attack_args["data"],
                                            run_dir / "records.jsonl", via="--run")
-    report, _ = _analyze(weights, by_id, records, KIND_FLAGS[attack_args["kind"]], seed)
+    report, _ = _analyze(weights, index, records, KIND_FLAGS[attack_args["kind"]], seed)
     projections_ref = str(projections_path) if projections_path.exists() else None
 
     metrics_dict = {k: (None if isinstance(v, float) and not math.isfinite(v) else v)

@@ -203,16 +203,30 @@ def save_manifest(entries, path) -> None:
     write_file(path, csv_text([("path", "label"), *entries]))
 
 
-def load_dataset(manifest_path) -> list[LabelledImage]:
-    """Load every image referenced by a manifest; ids are file stems."""
+def dataset_index(manifest_path) -> dict[str, tuple[Path, int]]:
+    """Image id (file stem) -> (image path, label) per manifest row, in file order; decodes nothing.
+
+    An id listed twice keeps its first position and its last row.
+    """
     manifest_path = Path(manifest_path)
-    items = []
+    index = {}
     for rel, label in load_manifest(manifest_path):
-        img_path = manifest_path.parent / rel
-        items.append(LabelledImage(img_path.stem, load_image(img_path), label))
-    if not items:
+        path = manifest_path.parent / rel
+        index[path.stem] = (path, label)
+    if not index:
         raise ManifestError(f"{manifest_path}: lists no images")
-    return items
+    return index
+
+
+def load_items(index, ids) -> dict[str, LabelledImage]:
+    """Decode the images of ``ids`` (keys of a dataset_index), each once, into items by id."""
+    return {i: LabelledImage(i, load_image(index[i][0]), index[i][1]) for i in dict.fromkeys(ids)}
+
+
+def load_dataset(manifest_path) -> list[LabelledImage]:
+    """Load every image a manifest references, one item per id."""
+    index = dataset_index(manifest_path)
+    return list(load_items(index, index).values())
 
 
 def split(ids, seed: int) -> DatasetSplit:

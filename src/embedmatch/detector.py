@@ -46,10 +46,15 @@ def detect(images, clean_labels, weights: ModelWeights, kind: str,
     images = np.asarray(images, dtype=np.float32)
     if len(seeds) != len(images):
         raise ValueError(f"{len(seeds)} seeds for {len(images)} images")
-    rngs = [np.random.Generator(np.random.PCG64(np.random.SeedSequence(int(s)))) for s in seeds]
-    noisy = [np.clip(image + rng.normal(0.0, cfg.sigma, image.shape), 0.0, 1.0)
-             for image, rng in zip(images, rngs) for _ in range(cfg.draws)]
-    labels = predict(np.stack(noisy), weights, kind).reshape(len(images), cfg.draws)
+    noisy = np.empty((len(images), cfg.draws, *images.shape[1:]), dtype=np.float32)
+    for image, seed, copies in zip(images, seeds, noisy):
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(int(seed))))
+        for copy in copies:
+            n = rng.normal(0.0, cfg.sigma, image.shape)
+            n += image
+            copy[...] = np.clip(n, 0.0, 1.0, out=n)  # rounded to float32 once, here
+    labels = predict(noisy.reshape(-1, *images.shape[1:]), weights, kind).reshape(
+        len(images), cfg.draws)
     return DetectResult((labels != np.asarray(clean_labels)[:, None]).any(axis=1), labels)
 
 

@@ -6,10 +6,13 @@ and a final layer norm.  Two image-level embeddings are exposed: the final
 class-token vector ("class_token") and the mean over final patch tokens
 ("mil_mean").  Each has its own linear classifier head.
 
-All forward passes run on an autodiff tape so the matching loss can be
-differentiated with respect to the input image.  Every entry point takes one
-image (H, W, C) or a stack (B, H, W, C); a single image runs as a stack of
-one, and each item of a stack gets bitwise the result it would get alone.
+One function, record_forward, defines the network.  A pass that watches the
+input or the weights runs on an autodiff tape, so the matching loss and the
+training loss can be differentiated; a pass that watches nothing (outputs and
+everything built on it) runs forward only and records no tape.  Every entry
+point takes one image (H, W, C) or a stack (B, H, W, C); a single image runs as
+a stack of one, and each item of a stack gets bitwise the result it would get
+alone.
 """
 
 from __future__ import annotations
@@ -18,11 +21,14 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .autodiff import ShapeError, Tape
+from .autodiff import Forward, ShapeError, Tape
 
 EMBED_KINDS = ("class_token", "mil_mean")
-# images per tape, in attack-suite chunks and forward-only calls: 4 to 16 run equally
-# fast per image, and a tape's context grows with its batch, so peak memory sets the cap
+# images per pass, in attack-suite chunks, training chunks and forward-only calls.  Taped
+# passes run 4 to 16 images equally fast per image, and a tape's context grows with its
+# batch, so peak memory sets the cap.  A forward-only pass keeps no context, but in
+# interleaved in-process timings on 12- and 48-image stacks no other size (8, 12, 16)
+# beat 4 in 9 of 10 pairs every time, so it keeps the same constant.
 CHUNK = 4
 
 
@@ -149,17 +155,22 @@ def _check_kind(kind: str) -> str:
 
 def record_forward(images: np.ndarray, weights: ModelWeights, *,
                    watch_input: bool = False, watch_weights: bool = False):
-    """Record a full forward pass of an image or a stack; returns (tape, node-id map).
+    """Run a full forward pass of an image or a stack; returns (tape, node-id map).
 
-    The node map holds the image-stack leaf (``image``), the embedding node
-    per kind and the per-kind logits nodes (``logits.<kind>``), each shaped
-    (B, 1, n) with B=1 for a single image, plus the weight leaves by name
-    (``weights``).  watch_input and watch_weights make those leaves watched,
-    so a backward pass seeded at the head nodes returns their gradients.
+    With watch_input or watch_weights the pass is recorded on an autodiff
+    Tape; with neither there is nothing to differentiate, so it runs on an
+    autodiff.Forward, whose node ids are the values themselves and which keeps
+    nothing for a backward pass.  Either way ``tape.value(nodes[key])`` reads
+    a result.  The node map holds the image-stack leaf (``image``), the
+    embedding node per kind and the per-kind logits nodes (``logits.<kind>``),
+    each shaped (B, 1, n) with B=1 for a single image, plus the weight leaves
+    by name (``weights``).  watch_input and watch_weights make those leaves
+    watched, so a backward pass seeded at the head nodes returns their
+    gradients.
     """
     cfg = weights.config
     stack, _ = _image_stack(images, cfg)
-    tape = Tape()
+    tape = Tape() if watch_input or watch_weights else Forward()
     x = tape.leaf(stack, watch=watch_input)
     wid = {name: tape.leaf(t, watch=watch_weights) for name, t in weights.tensors.items()}
     patches = tape.apply("patchify", x, patch_size=cfg.patch_size)
@@ -195,8 +206,8 @@ def outputs(images, weights: ModelWeights) -> dict[str, np.ndarray]:
     """Both embeddings and both heads' logits of an image or a stack, in one pass.
 
     Keys are the kinds and ``logits.<kind>``, as in record_forward's node map;
-    values are (B, n) rows, or (n,) for one image.  One tape is recorded per
-    CHUNK images, and only one is alive at a time.
+    values are (B, n) rows, or (n,) for one image.  Runs forward only, with no
+    tape, one record_forward per CHUNK images.
     """
     stack, single = _image_stack(images, weights.config)
     rows = {key: [] for kind in EMBED_KINDS for key in (kind, f"logits.{kind}")}
@@ -204,7 +215,6 @@ def outputs(images, weights: ModelWeights) -> dict[str, np.ndarray]:
         tape, nodes = record_forward(stack[i:i + CHUNK], weights)
         for key, parts in rows.items():
             parts.append(tape.value(nodes[key])[:, 0])
-        del tape  # else it lives on while the next chunk's tape is recorded
     return {key: np.concatenate(parts)[0] if single else np.concatenate(parts)
             for key, parts in rows.items()}
 

@@ -5,7 +5,8 @@ code with embedmatch.model: a straight-line numpy forward pass kept in 64-bit
 end to end, so finite-difference gradient checks are not limited by float32
 storage noise.  Beside it: a central-difference gradient, one-image-at-a-time
 recomputes of the match success rate and of the per-record metrics, SSIM by
-its direct 121-tap 2-D window, and the analytic size of a weight file.
+its direct 121-tap 2-D window, the detector's noisy copies, the float32 primitive formulas written with
+numpy's mean and var, and the analytic size of a weight file.
 """
 
 import numpy as np
@@ -163,6 +164,35 @@ def reference_ssim(a, b, peak=1.0, size=11, sigma=1.5):
         den = (mx * mx + my * my + c1) * (vx + vy + c2)
         values.append(float(np.mean(num / den)))
     return float(np.mean(values))
+
+
+def noisy_copies(images, seeds, sigma, draws):
+    """The detector's noisy copies, each image's draws from its own seeded stream, as float64."""
+    rngs = [np.random.Generator(np.random.PCG64(np.random.SeedSequence(int(s)))) for s in seeds]
+    return np.stack([np.clip(image + rng.normal(0.0, sigma, image.shape), 0.0, 1.0)
+                     for image, rng in zip(images, rngs) for _ in range(draws)])
+
+
+def layer_norm_numpy(x, gain, bias, g):
+    """layer_norm's float32 value and float64 VJP (x, gain, bias) through numpy's mean and var."""
+    n = x.shape[-1]
+    x64 = x.astype(np.float64)
+    mu = x64.mean(axis=-1, keepdims=True)
+    var = x64.var(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + LN_EPS)
+    xhat = (x64 - mu) * inv
+    out = (xhat * gain.astype(np.float64) + bias.astype(np.float64)).astype(np.float32)
+    dxhat = g * gain.astype(np.float64)
+    m1 = dxhat.mean(axis=-1, keepdims=True)
+    m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+    gx = inv * (dxhat - m1 - xhat * m2)
+    return out, (gx, (g * xhat).reshape(-1, n).sum(axis=0), g.reshape(-1, n).sum(axis=0))
+
+
+def mean_pool_numpy(x, rows):
+    """mean_pool's float32 value through numpy's mean."""
+    r0, r1 = rows
+    return x[..., r0:r1, :].astype(np.float64).mean(axis=-2, keepdims=True).astype(np.float32)
 
 
 def file_size(config) -> int:

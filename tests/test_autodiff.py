@@ -5,9 +5,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from _reference import attention_per_head32, finite_diff_gradient
+from _reference import (attention_per_head32, finite_diff_gradient, layer_norm_numpy,
+                        mean_pool_numpy)
 
-from embedmatch.autodiff import ContractError, ShapeError, Tape
+from embedmatch.autodiff import ContractError, Forward, ShapeError, Tape
 
 settings.register_profile("ci", deadline=None)
 settings.load_profile("ci")
@@ -114,6 +115,24 @@ def test_unknown_primitive_is_contract_error(op):
     with pytest.raises(ContractError, match=op) as err:
         tape.apply(op, x)
     assert _MISSING_ATTR.get(op, op) in str(err.value)
+
+
+@pytest.mark.parametrize("op,shapes,attrs", [
+    ("no_such_op", [(1, 2)], {}), ("mean_pool", [(1, 2)], {}), ("attention", [(1, 6)], {}),
+    ("patchify", [(4, 4, 1)], {}), ("linear", [(2, 3), (2, 3), (3,)], {}),
+    ("mean_pool", [(2, 3)], {"rows": (0, 5)}), ("concat", [(2, 3), (2, 4)], {}),
+])
+def test_forward_raises_what_tape_raises(op, shapes, attrs):
+    arrays = [np.zeros(s, np.float32) for s in shapes]
+    tape = Tape()
+    with pytest.raises((ContractError, ShapeError)) as taped:
+        tape.apply(op, *(tape.leaf(a) for a in arrays), **attrs)
+    forward = Forward()
+    with pytest.raises(taped.type) as untaped:
+        forward.apply(op, *(forward.leaf(a) for a in arrays), **attrs)
+    assert str(untaped.value) == str(taped.value)
+    with pytest.raises(ContractError):
+        forward.leaf(arrays[0], watch=True)
 
 
 def test_backward_deterministic_bitwise():
@@ -439,6 +458,26 @@ def test_batched_primitive_equals_items_bitwise(op, attrs, width):
         item_out, item_grad = run(x[i:i + 1])
         assert item_out.tobytes() == out[i:i + 1].tobytes()
         assert item_grad.tobytes() == grad[i:i + 1].tobytes()
+
+
+@pytest.mark.parametrize("shape", [(1, 7), (3, 5, 9), (2, 3, 17, 64)])
+def test_layer_norm_and_mean_pool_equal_numpy_mean_and_var_bitwise(shape):
+    rng = np.random.default_rng(len(shape))
+    x = (3 * rng.standard_normal(shape) + rng.standard_normal(shape[-1])).astype(np.float32)
+    gain, bias = rng.standard_normal((2, shape[-1])).astype(np.float32)
+    g = rng.standard_normal(shape)
+    out, grads = layer_norm_numpy(x, gain, bias, g)
+    tape = Tape()
+    ids = [tape.leaf(a, watch=True) for a in (x, gain, bias)]
+    y = tape.apply("layer_norm", *ids)
+    assert tape.value(y).tobytes() == out.tobytes()
+    taped = tape.backward({y: g})
+    for nid, want in zip(ids, grads):
+        assert taped[nid].tobytes() == want.tobytes()
+    for rows in ((0, 1), (1, shape[-2]), (0, shape[-2])):
+        if rows[0] < rows[1]:
+            pooled = tape.value(tape.apply("mean_pool", ids[0], rows=rows))
+            assert pooled.tobytes() == mean_pool_numpy(x, rows).tobytes()
 
 
 def test_context_kept_only_where_gradients_flow():

@@ -15,7 +15,7 @@ from _reference import record_metrics
 
 from embedmatch import model
 from embedmatch.cli import main
-from embedmatch.data import load_dataset, split
+from embedmatch.data import load_dataset, load_image, split
 from embedmatch.metrics import aggregate
 from embedmatch.records_io import read_records, write_records
 from embedmatch.seeding import derive_seed
@@ -271,6 +271,34 @@ def test_analysis_command_runs_each_image_forward_once(pipeline, tmp_path, monke
             if command == "report" else [command] + _analysis_args(pipeline, out))
     assert main(argv) == 0
     assert seen and max(seen.values()) == 1, seen.most_common(1)
+
+
+@pytest.mark.parametrize("command", ["metrics", "detect"])
+def test_analysis_command_decodes_only_images_it_reads(pipeline, tmp_path, monkeypatch, capsys,
+                                                       command):
+    _, by_id, records = _inputs(pipeline)
+    named = [i for r in records for i in (r.source_id, r.target_id)]
+    readable = {it.id for it in _test_split(by_id, 7)} | set(named)
+    decoded = Counter()
+
+    def counting(path):
+        decoded[Path(path).stem] += 1
+        return load_image(path)
+
+    monkeypatch.setattr("embedmatch.data.load_image", counting)
+    assert main([command] + _analysis_args(pipeline, tmp_path / "out")) == 0
+    assert decoded and set(decoded) <= readable and max(decoded.values()) == 1, decoded
+    # an image the command does not read is not checked; one it reads is
+    data = tmp_path / "data"
+    shutil.copytree(pipeline / "data", data)
+    argv = [command] + _analysis_args(pipeline, tmp_path / "out") + ["--data", str(data)]
+    (data / f"{next(i for i in by_id if i not in readable)}.ppm").write_bytes(b"P6\n")
+    assert main(argv) == 0
+    (data / f"{named[0]}.ppm").write_bytes(b"P6\n")
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error") and str(data / f"{named[0]}.ppm") in err
 
 
 def test_metrics_under_another_seed_reads_images_off_its_test_split(pipeline, tmp_path):

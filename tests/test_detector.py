@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from _reference import noisy_copies
 from conftest import random_image, tiny_config
 
 from embedmatch.detector import DetectorConfig, detect, sweep
@@ -67,6 +68,22 @@ def test_draws_are_nested_streams(setup):
     many = detect(images, clean, w, "mil_mean", DetectorConfig(sigma=0.2, draws=4), range(10))
     assert (many.noisy_labels[:, 0] == one.noisy_labels[:, 0]).all()
     assert (many.flagged >= one.flagged).all()
+
+
+def test_noisy_copies_come_from_each_images_stream(setup, monkeypatch):
+    cfg, w, rng = setup
+    images = np.stack([random_image(rng, cfg) for _ in range(3)])
+    classified = []
+
+    def recording(stack, *args):
+        classified.append(stack)
+        return predict(stack, *args)
+
+    monkeypatch.setattr("embedmatch.detector.predict", recording)
+    detect(images, [0, 0, 0], w, "mil_mean", DetectorConfig(sigma=0.3, draws=2), [4, 9, 4])
+    (stack,) = classified
+    assert stack.dtype == np.float32
+    assert stack.tobytes() == noisy_copies(images, [4, 9, 4], 0.3, 2).astype(np.float32).tobytes()
 
 
 def test_config_validation(setup):

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from _reference import finite_diff_gradient, reference_embedding, reference_logits
 from conftest import random_image, tiny_config
 
-from embedmatch.autodiff import ShapeError
-from embedmatch.model import (EMBED_KINDS, Embedding, ModelConfig, embed,
-                              matching_loss_grad_embed, outputs, predict)
+from embedmatch.autodiff import Forward, ShapeError, Tape
+from embedmatch.model import (CHUNK, EMBED_KINDS, Embedding, ModelConfig, embed,
+                              matching_loss_grad_embed, outputs, predict, record_forward)
 from embedmatch.weights_io import init_weights
 
 
@@ -195,6 +195,24 @@ def test_stack_equals_single_calls_bitwise(config, b, seed):
             assert grad.tobytes() == grads[i].tobytes()
             assert emb.tobytes() == embs[i].tobytes()
             assert label == step_labels[i] == predict(x, w, kind)
+
+
+@pytest.mark.parametrize("config", [tiny_config(), ModelConfig()], ids=["tiny", "default"])
+def test_forward_only_outputs_equal_taped_head_values_bitwise(config):
+    rng = np.random.default_rng(5)
+    w = init_weights(config, seed=2)
+    for t in w.tensors.values():  # away from init's unit gains and zero biases
+        t += (0.3 * rng.standard_normal(t.shape)).astype(np.float32)
+    for b in (None, 1, 3, 4, 9, 2 * CHUNK + 1):
+        images = (random_image(rng, config) if b is None
+                  else np.stack([random_image(rng, config) for _ in range(b)]))
+        rows = outputs(images, w)
+        tape, nodes = record_forward(images, w, watch_input=True)
+        assert isinstance(tape, Tape)
+        for key, values in rows.items():
+            taped = tape.value(nodes[key])[:, 0]
+            assert values.tobytes() == (taped[0] if b is None else taped).tobytes(), (b, key)
+        assert isinstance(record_forward(images, w)[0], Forward)
 
 
 def test_stack_target_shape_must_match(setup):
