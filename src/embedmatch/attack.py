@@ -21,7 +21,8 @@ import numpy as np
 
 from .autodiff import ShapeError
 from .metrics import cosine
-from .model import CHUNK, EMBED_KINDS, Embedding, ModelWeights, embed, matching_loss_grad_embed
+from .model import (CHUNK, EMBED_KINDS, Embedding, ModelWeights, embed, keep_freed_memory,
+                    matching_loss_grad_embed)
 
 RELATIVE_CONV_DEFAULT = 0.01  # threshold = 0.01 * ||target embedding|| when unset
 
@@ -213,17 +214,19 @@ def run_suite(pairs, weights: ModelWeights, cfg: PRMConfig, items_by_id,
     """Attack every pair; returns (records, failures).
 
     Pairs run in lockstep chunks of model.CHUNK; with more than one worker,
-    the chunks are spread over a process pool.  Records keep pair order.  A
-    failed pair lands in failures as (source_id, target_id, message) and the
-    remaining pairs, its chunk included, still run.  Results are identical for
-    any worker count.
+    the chunks are spread over a process pool whose workers keep freed memory
+    (model.keep_freed_memory).  Records keep pair order.  A failed pair lands
+    in failures as (source_id, target_id, message) and the remaining pairs,
+    its chunk included, still run.  Results are identical for any worker count
+    and any chunk size.
     """
     if not pairs:
         raise ValueError("pair list is empty")
     tasks = [(weights, cfg, [items_by_id[s] for s, _ in chunk], [items_by_id[t] for _, t in chunk])
              for chunk in (pairs[i:i + CHUNK] for i in range(0, len(pairs), CHUNK))]
-    with (concurrent.futures.ProcessPoolExecutor(max_workers=workers) if workers > 1
-          else contextlib.nullcontext()) as pool:
+    with (concurrent.futures.ProcessPoolExecutor(max_workers=workers,
+                                                 initializer=keep_freed_memory)
+          if workers > 1 else contextlib.nullcontext()) as pool:
         chunks = (pool.map if pool else map)(_attack_chunk, tasks)
         outcomes = [outcome for chunk in chunks for outcome in chunk]
     records = []

@@ -27,10 +27,10 @@ from pathlib import Path
 from . import __version__
 from .attack import AttackError, PairingError, PRMConfig, build_pairs, run_suite
 from .data import (ImageParseError, ManifestError, csv_text, dataset_index, generate_synthetic,
-                   load_dataset, load_items, require_keys, split, write_dataset, write_file)
+                   load_items, require_keys, split, write_dataset, write_file)
 from .detector import DetectorConfig, sweep
 from .metrics import aggregate, per_record_metrics
-from .model import ModelConfig, outputs
+from .model import ModelConfig, keep_freed_memory, outputs
 from .pca import fit_pca
 from .pca import project as pca_project
 from .records_io import read_records, write_records
@@ -130,17 +130,17 @@ def cmd_train(args) -> None:
     seed = _resolve_seed(args)
     tcfg = _config(TrainConfig, epochs=args.epochs, batch_size=args.batch_size,
                    learning_rate=args.learning_rate, seed=seed)
-    items = load_dataset(_manifest_path(args.data))
-    num_classes = (max(it.label for it in items) + 1 if args.num_classes is None
+    index = dataset_index(_manifest_path(args.data))
+    num_classes = (max(label for _, label in index.values()) + 1 if args.num_classes is None
                    else args.num_classes)
-    first = items[0].image
+    parts = _split(index, seed)  # the test split is never decoded
+    by_id = load_items(index, parts.train + parts.validation)
+    first = next(iter(by_id.values())).image
     config = _config(
         ModelConfig, image_size=first.shape[0], channels=first.shape[2],
         patch_size=args.patch_size, embed_dim=args.embed_dim, depth=args.depth,
         num_heads=args.num_heads, mlp_ratio=args.mlp_ratio, num_classes=num_classes)
     out = Path(args.out)
-    by_id = {it.id: it for it in items}
-    parts = _split(by_id, seed)
     weights, history = train(config, tcfg, [by_id[i] for i in parts.train],
                              [by_id[i] for i in parts.validation])
     weights_path = out / "weights.vitw"
@@ -461,6 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    keep_freed_memory()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -73,7 +73,7 @@ def sweep(clean_images, attacked_images, sigmas, weights: ModelWeights,
     stream per sigma, so rates are deterministic per seed and independent of
     evaluation order or batching.
     """
-    if not clean_images or not attacked_images:
+    if len(clean_images) == 0 or len(attacked_images) == 0:
         raise ValueError("both image sets must be nonempty")
     labels = [predict(images, weights, kind) for images in (clean_images, attacked_images)]
     rows = []

@@ -1,7 +1,7 @@
 """Training loop for the tiny ViT: joint cross-entropy over both heads, Adam.
 
 Gradients with respect to the weights come from the attack's machinery, a
-record_forward tape and one Tape.backward, with one tape per model.CHUNK
+record_forward tape and one Tape.backward, with one tape per TAPE_SAMPLES
 samples of a minibatch.  As the attack seeds its embedding node with
 f(x) - f(x_tgt), training seeds each logits node with the analytic
 cross-entropy gradient softmax(logits) - onehot(label).
@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import write_file
-from .model import CHUNK, EMBED_KINDS, ModelConfig, ModelWeights, outputs, record_forward
+from .model import EMBED_KINDS, ModelConfig, ModelWeights, outputs, record_forward
 from .seeding import derive_seed, stream
 from .weights_io import init_weights
 
@@ -24,6 +24,10 @@ from .weights_io import init_weights
 BETA1 = 0.9
 BETA2 = 0.999
 ADAM_EPS = 1e-8
+# samples per training tape.  Not model.CHUNK: each tape sums its samples' weight
+# gradients before the tapes' sums are added, so this number fixes the order of the
+# additions, and with it the bits of the trained weights.
+TAPE_SAMPLES = 4
 
 
 class TrainingError(RuntimeError):
@@ -68,14 +72,14 @@ class TrainHistory:
 def _batch_loss_and_grads(batch, weights: ModelWeights):
     """Per-item cross-entropy of both heads, plus weight gradients summed over the batch.
 
-    One tape is recorded per CHUNK items.  Each logits node is seeded with
+    One tape is recorded per TAPE_SAMPLES items.  Each logits node is seeded with
     its rows' softmax - onehot(label); the batched primitives sum a shared
     weight's gradient over the chunk, and chunks are added in order.
     """
     losses: list[float] = []
     acc: dict[str, np.ndarray] = {}
-    for i in range(0, len(batch), CHUNK):
-        chunk = batch[i:i + CHUNK]
+    for i in range(0, len(batch), TAPE_SAMPLES):
+        chunk = batch[i:i + TAPE_SAMPLES]
         tape, nodes = record_forward(np.stack([it.image for it in chunk]), weights,
                                      watch_weights=True)
         rows, labels = np.arange(len(chunk)), np.array([it.label for it in chunk])

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import random_image, tiny_config
 
+from embedmatch import attack
 from embedmatch.attack import (AttackError, AttackRecord, PairingError,
                                PRMConfig, build_pairs, prm, project, run_suite)
 from embedmatch.autodiff import ShapeError
@@ -234,6 +235,18 @@ def test_run_suite_lockstep_equals_per_pair_prm(setup, tmp_path):
         # the suite reads its labels off its own iteration tapes; predict is an independent oracle
         assert r.label_before == predict(by_id[source_id].image, w, UNEVEN.kind)
         assert r.label_after == predict(r.image, w, UNEVEN.kind)
+
+
+def test_run_suite_records_do_not_depend_on_chunk_size(setup, tmp_path, monkeypatch):
+    cfg, w, rng = setup
+    _, by_id, pairs = _suite_fixture(cfg, rng, n=20)
+    written = []
+    for chunk in (4, 8):
+        monkeypatch.setattr(attack, "CHUNK", chunk)
+        records, failures = run_suite(pairs, w, UNEVEN, by_id)
+        assert not failures
+        written.append(_written(records, tmp_path / f"chunk{chunk}"))
+    assert written[0] == written[1]
 
 
 def test_run_suite_contains_non_finite_pair(setup):

@@ -301,6 +301,23 @@ def test_analysis_command_decodes_only_images_it_reads(pipeline, tmp_path, monke
     assert err.startswith("data error") and str(data / f"{named[0]}.ppm") in err
 
 
+def test_train_decodes_no_test_split_image(pipeline, tmp_path, capsys):
+    _, by_id, _ = _inputs(pipeline)
+    parts = split(list(by_id), derive_seed(7, "split"))
+    data, out = tmp_path / "data", tmp_path / "model"
+    shutil.copytree(pipeline / "data", data)
+    argv = ["train", "--data", str(data), "--out", str(out), "--seed", "7"] + SMALL_TRAIN
+    (data / f"{parts.test[0]}.ppm").write_bytes(b"P6\n")
+    assert main(argv) == 0
+    assert (out / "weights.vitw").read_bytes() == \
+        (pipeline / "model" / "weights.vitw").read_bytes()
+    (data / f"{parts.train[0]}.ppm").write_bytes(b"P6\n")
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error") and str(data / f"{parts.train[0]}.ppm") in err
+
+
 def test_metrics_under_another_seed_reads_images_off_its_test_split(pipeline, tmp_path):
     # the records come from seed 7; seed 8's test split lacks some of their images
     out = tmp_path / "out"

@@ -114,6 +114,8 @@ def test_sweep_rates_bounded_and_deterministic(setup):
     rows_a = sweep(clean, attacked, [0.05, 0.2], w, "mil_mean", seed=9)
     rows_b = sweep(clean, attacked, [0.05, 0.2], w, "mil_mean", seed=9)
     assert rows_a == rows_b
+    # detect takes stacks, and so does sweep
+    assert sweep(np.stack(clean), np.stack(attacked), [0.05, 0.2], w, "mil_mean", seed=9) == rows_a
     for row in rows_a:
         assert 0.0 <= row.clean_flag_rate <= 1.0
         assert 0.0 <= row.attacked_flag_rate <= 1.0
@@ -123,6 +125,9 @@ def test_sweep_rejects_empty(setup):
     cfg, w, rng = setup
     with pytest.raises(ValueError):
         sweep([], [random_image(rng, cfg)], [0.1], w, "class_token", seed=0)
+    stack = random_image(rng, cfg)[None]
+    with pytest.raises(ValueError, match="both image sets must be nonempty"):
+        sweep(stack, stack[:0], [0.1], w, "class_token", seed=0)
 
 
 def test_sweep_rates_equal_per_image_detect_flags(setup):

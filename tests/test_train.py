@@ -5,9 +5,10 @@ import pytest
 
 from conftest import random_image, tiny_config
 
+from embedmatch import model
 from embedmatch.data import LabelledImage
-from embedmatch.model import CHUNK
-from embedmatch.train import TrainConfig, TrainingError, _batch_loss_and_grads, evaluate, train
+from embedmatch.train import (TAPE_SAMPLES, TrainConfig, TrainingError, _batch_loss_and_grads,
+                              evaluate, train)
 from embedmatch.weights_io import init_weights
 
 
@@ -42,7 +43,7 @@ def test_different_seed_changes_weights():
     assert any(wa.tensors[n].tobytes() != wb.tensors[n].tobytes() for n in wa.tensors)
 
 
-@pytest.mark.parametrize("size", [1, CHUNK, CHUNK + 1])
+@pytest.mark.parametrize("size", [1, TAPE_SAMPLES, TAPE_SAMPLES + 1])
 def test_chunked_step_equals_single_sample_steps(size):
     cfg = tiny_config()
     weights = init_weights(cfg, 4)
@@ -60,7 +61,7 @@ def test_chunked_step_equals_single_sample_steps(size):
         assert np.max(np.abs(g - expect)) <= 1e-10 * np.max(np.abs(expect)), name
 
 
-@pytest.mark.parametrize("batch_size", [CHUNK - 1, CHUNK + 2])
+@pytest.mark.parametrize("batch_size", [TAPE_SAMPLES - 1, TAPE_SAMPLES + 2])
 def test_uneven_batch_sizes_reproducible(batch_size):
     cfg = tiny_config()
     items = _tiny_items(7, cfg)
@@ -69,6 +70,21 @@ def test_uneven_batch_sizes_reproducible(batch_size):
     wb, hb = train(cfg, tcfg, items, items[:2])
     assert all(np.isfinite(s.train_loss) for s in ha.epochs)
     assert [s.train_loss for s in ha.epochs] == [s.train_loss for s in hb.epochs]
+    for name in wa.tensors:
+        assert wa.tensors[name].tobytes() == wb.tensors[name].tobytes(), name
+
+
+def test_trained_weights_do_not_depend_on_model_chunk(monkeypatch):
+    # model.CHUNK sizes the forward-only evaluation passes; the gradient tapes keep TAPE_SAMPLES
+    cfg = tiny_config()
+    items = _tiny_items(11, cfg)
+    tcfg = TrainConfig(epochs=2, batch_size=10, seed=4)
+    trained = []
+    for chunk in (3, 8):
+        monkeypatch.setattr(model, "CHUNK", chunk)
+        trained.append(train(cfg, tcfg, items, items[:9]))
+    (wa, ha), (wb, hb) = trained
+    assert ha.epochs == hb.epochs
     for name in wa.tensors:
         assert wa.tensors[name].tobytes() == wb.tensors[name].tobytes(), name
 
