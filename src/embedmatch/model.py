@@ -40,7 +40,7 @@ def keep_freed_memory() -> None:
     Each lockstep tape allocates the same few MB that the one before it freed.  With
     glibc's default thresholds the large blocks are mmapped and the heap top is trimmed
     on free, so every iteration page-faults its memory back in: 160k to 200k minor
-    faults per perfbench attack-suite repetition at CHUNK 8, and 5 to 60 after this
+    faults per perfbench attack-suite repetition at CHUNK 8, and under 70 after this
     call.  Setting either threshold alone did not remove the faults.  Does nothing
     where libc has no mallopt.  Changes only speed and memory, never a result.
     """
