@@ -21,8 +21,8 @@ import numpy as np
 
 from .autodiff import ShapeError
 from .metrics import cosine
-from .model import (CHUNK, EMBED_KINDS, Embedding, ModelWeights, embed, keep_freed_memory,
-                    matching_loss_grad_embed)
+from .model import (CHUNK, EMBED_KINDS, ModelWeights, keep_freed_memory, matching_loss_grad_embed,
+                    outputs)
 
 RELATIVE_CONV_DEFAULT = 0.01  # threshold = 0.01 * ||target embedding|| when unset
 
@@ -105,9 +105,9 @@ class _PairRun:
     error: str | None = None
 
 
-def _attack_stack(x0: np.ndarray, targets: Embedding, weights: ModelWeights, cfg: PRMConfig,
+def _attack_stack(x0: np.ndarray, targets: np.ndarray, weights: ModelWeights, cfg: PRMConfig,
                   pairs) -> list:
-    """Attack a stack of sources toward a stack of target embeddings in lockstep.
+    """Attack a stack of sources toward (B, d) float32 target embedding rows in lockstep.
 
     ``pairs`` holds (source_id, target_id, label_source_true, label_target_true)
     per item.  Returns an AttackRecord, or the failure message of a pair whose
@@ -117,7 +117,7 @@ def _attack_stack(x0: np.ndarray, targets: Embedding, weights: ModelWeights, cfg
     steps run elementwise on the batch, every reduction that reaches a record
     runs per pair.
     """
-    tgt64 = targets.values.astype(np.float64)
+    tgt64 = targets.astype(np.float64)
     runs = []
     for (source_id, target_id, label_source_true, label_target_true), t in zip(pairs, tgt64):
         record = AttackRecord(
@@ -130,8 +130,8 @@ def _attack_stack(x0: np.ndarray, targets: Embedding, weights: ModelWeights, cfg
     active = np.arange(len(runs))
     x = x0.copy()
     for t in range(1, cfg.max_iters + 1):
-        losses, grads, embs, labels = matching_loss_grad_embed(
-            x, Embedding(targets.values[active], targets.kind), weights, cfg.kind)
+        losses, grads, embs, labels = matching_loss_grad_embed(x, targets[active], weights,
+                                                               cfg.kind)
         keep = np.zeros(len(active), dtype=bool)
         for j, i in enumerate(active):
             run, rec, loss = runs[i], runs[i].record, float(losses[j])
@@ -149,7 +149,7 @@ def _attack_stack(x0: np.ndarray, targets: Embedding, weights: ModelWeights, cfg
             hit = dist < run.tau
             if t == 1 or (t - 1) % cfg.trace_every == 0 or t == cfg.max_iters or hit:
                 rec.trace.append(TracePoint(
-                    t, loss, cosine(embs[j], targets.values[i]),
+                    t, loss, cosine(embs[j], targets[i]),
                     float(np.mean(np.abs(x[j] - x0[i]), dtype=np.float64))))
             if hit:
                 rec.converged, rec.iterations_used = True, t
@@ -168,14 +168,13 @@ def _attack_stack(x0: np.ndarray, targets: Embedding, weights: ModelWeights, cfg
     return [run.error or run.record for run in runs]
 
 
-def prm(x0: np.ndarray, target: Embedding, weights: ModelWeights, cfg: PRMConfig,
+def prm(x0: np.ndarray, target: np.ndarray, weights: ModelWeights, cfg: PRMConfig,
         *, source_id: str = "", target_id: str = "",
         label_source_true: int = -1, label_target_true: int = -1) -> AttackRecord:
-    """Run the matching attack from x0 toward the target embedding."""
-    x0 = np.asarray(x0, dtype=np.float32)
+    """Run the matching attack from x0 toward the target's (d,) embedding row under cfg.kind."""
     (outcome,) = _attack_stack(
-        x0[None], Embedding(target.values[None], target.kind), weights, cfg,
-        [(source_id, target_id, label_source_true, label_target_true)])
+        np.asarray(x0, dtype=np.float32)[None], np.asarray(target, dtype=np.float32)[None],
+        weights, cfg, [(source_id, target_id, label_source_true, label_target_true)])
     if isinstance(outcome, str):
         raise AttackError(outcome)
     return outcome
@@ -204,8 +203,8 @@ def build_pairs(items, seed: int, limit: int | None = None) -> list[tuple[str, s
 
 def _attack_chunk(task) -> list:
     weights, cfg, sources, targets = task
-    target_embs = embed(np.stack([t.image for t in targets]), weights, cfg.kind)
-    return _attack_stack(np.stack([s.image for s in sources]), target_embs, weights, cfg,
+    target_rows = outputs(np.stack([t.image for t in targets]), weights)[cfg.kind]
+    return _attack_stack(np.stack([s.image for s in sources]), target_rows, weights, cfg,
                          [(s.id, t.id, s.label, t.label) for s, t in zip(sources, targets)])
 
 

@@ -225,7 +225,7 @@ def cmd_metrics(args) -> None:
     weights, index, records = _load_inputs(args.weights, args.data, args.records)
     report, rows = _analyze(weights, index, records, KIND_FLAGS[args.kind], seed)
     metrics_path = out / "metrics.json"
-    write_file(metrics_path, json.dumps(report.to_dict(), indent=2) + "\n")
+    write_file(metrics_path, json.dumps(report.to_dict(), indent=2, allow_nan=False) + "\n")
     names = list(rows[0].__dataclass_fields__)
     write_file(out / "per_record.csv",
                csv_text([names] + [[getattr(m, f) for f in names] for m in rows]))
@@ -335,28 +335,28 @@ def cmd_report(args) -> None:
                         else run_dir / "projections.csv")
     run_manifest = _require(run_dir / "manifest-attack.json", "--run")
     manifest = json.loads(run_manifest.read_text())
-    require_keys(manifest, ("args", "seed"), str(run_manifest))
+    require_keys(manifest, {"args": dict, "seed": int}, str(run_manifest))
     attack_args, seed = manifest["args"], manifest["seed"]
-    require_keys(attack_args, ("weights", "data", "kind"), f"{run_manifest}: args")
+    if seed < 0:
+        raise ManifestError(f"{run_manifest}: key 'seed': must be >= 0, got {seed}")
+    require_keys(attack_args, {"weights": str, "data": str, "kind": object},
+                 f"{run_manifest}: args")
     if not isinstance(attack_args["kind"], str) or attack_args["kind"] not in KIND_FLAGS:
         raise ManifestError(f"{run_manifest}: args: unknown kind {attack_args['kind']!r}")
     sweep_rows = []
     if sweep_path.exists():
         with open(sweep_path, newline="") as fh:
             for n, row in enumerate(csv.DictReader(fh), start=2):
-                require_keys(row, SWEEP_COLUMNS, f"{sweep_path}: row {n}")
+                require_keys(row, dict.fromkeys(SWEEP_COLUMNS, str), f"{sweep_path}: row {n}")
                 sweep_rows.append({k: _sweep_cell(row[k], f"{sweep_path}: row {n}: column {k!r}",
                                                   rate=k != "sigma") for k in SWEEP_COLUMNS})
     weights, index, records = _load_inputs(attack_args["weights"], attack_args["data"],
                                            run_dir / "records.jsonl", via="--run")
     report, _ = _analyze(weights, index, records, KIND_FLAGS[attack_args["kind"]], seed)
     projections_ref = str(projections_path) if projections_path.exists() else None
-
-    metrics_dict = {k: (None if isinstance(v, float) and not math.isfinite(v) else v)
-                    for k, v in report.to_dict().items()}
     payload = {
         "attack": {"args": attack_args, "seed": seed},
-        "metrics": metrics_dict,
+        "metrics": report.to_dict(),
         "detector_sweep": sweep_rows,
         "projections_csv": projections_ref,
         "records_file": str(run_dir / "records.jsonl"),

@@ -13,6 +13,8 @@ import csv
 import io
 import math
 import os
+import reprlib
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -27,18 +29,37 @@ class ManifestError(ValueError):
     """Malformed manifest CSV; message carries the row number."""
 
 
-class MissingKeyError(ValueError):
-    """A JSON object or CSV row lacks a key; message names the file, line or row, and key."""
+class FieldError(ValueError):
+    """A JSON object or CSV row lacks a key or holds a wrong type there; names where and the key."""
 
 
-def require_keys(obj, keys, where: str) -> None:
-    """Raise MissingKeyError at ``where`` for the first of ``keys`` that ``obj`` lacks.
+def _has_type(value, kind) -> bool:
+    origin, args = typing.get_origin(kind), typing.get_args(kind)
+    if origin is list:
+        return isinstance(value, list) and all(_has_type(v, args[0]) for v in value)
+    if origin is tuple:
+        return (isinstance(value, list) and len(value) == len(args)
+                and all(map(_has_type, value, args)))
+    if isinstance(value, bool):
+        return kind in (bool, object)
+    return isinstance(value, (int, float) if kind is float else kind)
 
-    None, csv.DictReader's fill for a short row, counts as missing; a non-dict lacks every key.
+
+def require_keys(obj, keys: dict, where: str) -> None:
+    """Raise FieldError at ``where`` for the first of ``keys`` that ``obj`` lacks or mistypes.
+
+    ``keys`` maps each key to its type: a class (a bool is no int, an int is a float),
+    ``list[t]`` for a list of ``t``, ``tuple[t1, ..., tn]`` for a list of n items of those
+    types, or ``object`` for anything.  None, csv.DictReader's fill for a short row, counts
+    as missing; a non-dict lacks every key.
     """
-    missing = [k for k in keys if obj.get(k) is None] if isinstance(obj, dict) else list(keys)
-    if missing:
-        raise MissingKeyError(f"{where}: missing key {missing[0]!r}")
+    for key, kind in keys.items():
+        value = obj.get(key) if isinstance(obj, dict) else None
+        if value is None:
+            raise FieldError(f"{where}: missing key {key!r}")
+        if not _has_type(value, kind):
+            name = kind if typing.get_args(kind) else kind.__name__
+            raise FieldError(f"{where}: key {key!r}: expected {name}, got {reprlib.repr(value)}")
 
 
 @dataclass

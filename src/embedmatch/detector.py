@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelWeights, predict
+from .model import ModelWeights, outputs
 from .seeding import derive_seed
 
 
@@ -38,7 +38,7 @@ def detect(images, clean_labels, weights: ModelWeights, kind: str,
            cfg: DetectorConfig, seeds) -> DetectResult:
     """Classify cfg.draws noisy copies of each image; flag it on any label mismatch.
 
-    ``images`` is a stack (B, H, W, C) with its predicted ``clean_labels``.
+    ``images`` is a stack (B, H, W, C) with its ``clean_labels``, the argmax of its logits.
     Image i's noise comes from its own stream, seeded by ``seeds[i]``, so a
     flag does not depend on the rest of the stack; all B * draws noisy copies
     are classified in one batched call.
@@ -53,8 +53,8 @@ def detect(images, clean_labels, weights: ModelWeights, kind: str,
             n = rng.normal(0.0, cfg.sigma, image.shape)
             n += image
             copy[...] = np.clip(n, 0.0, 1.0, out=n)  # rounded to float32 once, here
-    labels = predict(noisy.reshape(-1, *images.shape[1:]), weights, kind).reshape(
-        len(images), cfg.draws)
+    labels = np.argmax(outputs(noisy.reshape(-1, *images.shape[1:]), weights)[f"logits.{kind}"],
+                       axis=-1).reshape(len(images), cfg.draws)
     return DetectResult((labels != np.asarray(clean_labels)[:, None]).any(axis=1), labels)
 
 
@@ -75,7 +75,8 @@ def sweep(clean_images, attacked_images, sigmas, weights: ModelWeights,
     """
     if len(clean_images) == 0 or len(attacked_images) == 0:
         raise ValueError("both image sets must be nonempty")
-    labels = [predict(images, weights, kind) for images in (clean_images, attacked_images)]
+    labels = [np.argmax(outputs(images, weights)[f"logits.{kind}"], axis=-1)
+              for images in (clean_images, attacked_images)]
     rows = []
     for si, sigma in enumerate(sigmas):
         cfg = DetectorConfig(sigma=sigma, draws=draws)

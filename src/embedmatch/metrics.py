@@ -104,7 +104,9 @@ class MetricsReport:
     n_records: int
 
     def to_dict(self) -> dict:
-        return dict(self.__dict__)
+        """The fields by name, each non-finite float as None, so the dict is strict JSON."""
+        return {k: None if isinstance(v, float) and not math.isfinite(v) else v
+                for k, v in self.__dict__.items()}
 
 
 @dataclass

@@ -12,7 +12,8 @@ training loss can be differentiated; a pass that watches nothing (outputs and
 everything built on it) runs forward only and records no tape.  Every entry
 point takes one image (H, W, C) or a stack (B, H, W, C); a single image runs as
 a stack of one, and each item of a stack gets bitwise the result it would get
-alone.
+alone.  Embeddings pass between functions as plain float32 rows: (d,) for one
+image, (B, d) for a stack.
 """
 
 from __future__ import annotations
@@ -169,12 +170,6 @@ def _image_stack(images, config: ModelConfig) -> tuple[np.ndarray, bool]:
     return stack, single
 
 
-def _check_kind(kind: str) -> str:
-    if kind not in EMBED_KINDS:
-        raise ValueError(f"unknown embedding kind {kind!r}; expected one of {EMBED_KINDS}")
-    return kind
-
-
 def record_forward(images: np.ndarray, weights: ModelWeights, *,
                    watch_input: bool = False, watch_weights: bool = False):
     """Run a full forward pass of an image or a stack; returns (tape, node-id map).
@@ -242,39 +237,36 @@ def outputs(images, weights: ModelWeights) -> dict[str, np.ndarray]:
 
 
 def embed(images: np.ndarray, weights: ModelWeights, kind: str) -> Embedding:
-    """Embedding of an image (or a stack) under the chosen head; pure and deterministic."""
-    return Embedding(outputs(images, weights)[_check_kind(kind)], kind)
+    """Embedding of an image (or a stack) under the chosen head; pure and deterministic.
+
+    No library code calls it: it is the read-out of perfbench/workloads.py, which reads
+    ``embed(...).values``.  Everything else reads ``outputs(...)[kind]``.
+    """
+    return Embedding(outputs(images, weights)[kind], kind)
 
 
-def predict(images: np.ndarray, weights: ModelWeights, kind: str):
-    """Predicted class label (an int, or an int array for a stack); ties go to the lowest index."""
-    labels = np.argmax(outputs(images, weights)[f"logits.{_check_kind(kind)}"], axis=-1)
-    return int(labels) if labels.ndim == 0 else labels
-
-
-def matching_loss_grad_embed(images: np.ndarray, target: Embedding,
+def matching_loss_grad_embed(images: np.ndarray, target_rows: np.ndarray,
                              weights: ModelWeights, kind: str):
-    """(loss, d loss/d image, current embedding values, predicted label) in one pass.
+    """(loss, d loss/d image, current embedding values, argmax label) in one pass.
 
-    The loss is half the squared L2 distance d = f(x) - f(x_tgt); d itself, its
-    gradient at the embedding, seeds the tape's backward pass to the image, and
-    the label is the argmax of the same tape's logits under ``kind``.  The
-    loss keeps its 64-bit accumulation so finite-difference checks are not
-    limited by float32 output quantization.
+    ``target_rows`` are the target embeddings under ``kind``: a (d,) row for one
+    image, (B, d) rows for a stack.  The loss is half the squared L2 distance
+    d = f(x) - f(x_tgt); d itself, its gradient at the embedding, seeds the
+    tape's backward pass to the image, and the label is the argmax of the same
+    tape's logits under ``kind``.  The loss keeps its 64-bit accumulation so
+    finite-difference checks are not limited by float32 output quantization.
 
     For a stack of images and a stack of targets, returns a float64 array of
     per-item losses and the (B, H, W, C) gradients, (B, d) embeddings and (B,) labels.
     """
-    _check_kind(kind)
-    if target.kind != kind:
-        raise ValueError(f"target embedding kind {target.kind!r} does not match requested {kind!r}")
     cfg = weights.config
     stack, single = _image_stack(images, cfg)
+    target_rows = np.asarray(target_rows, dtype=np.float32)
     want = (cfg.embed_dim,) if single else (len(stack), cfg.embed_dim)
-    if target.values.shape != want:
-        raise ShapeError(f"target embedding has shape {target.values.shape}, expected {want}")
+    if target_rows.shape != want:
+        raise ShapeError(f"target embedding has shape {target_rows.shape}, expected {want}")
     tape, nodes = record_forward(stack, weights, watch_input=True)
-    diff = tape.value(nodes[kind]) - target.values.reshape(len(stack), 1, cfg.embed_dim)
+    diff = tape.value(nodes[kind]) - target_rows.reshape(len(stack), 1, cfg.embed_dim)
     d64 = diff.astype(np.float64)
     grads = tape.backward({nodes[kind]: d64})[nodes["image"]].astype(np.float32)
     losses = np.array([0.5 * float(d @ d) for d in d64[:, 0]])

@@ -10,16 +10,23 @@ per-iteration trace is inline and also emitted as a CSV for plotting.
 from __future__ import annotations
 
 import json
-from dataclasses import astuple, fields
+import math
+from dataclasses import astuple
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
 from .attack import AttackRecord, TracePoint
-from .data import require_keys, save_image, write_file
+from .data import FieldError, require_keys, save_image, write_file
 
 TRACE_HEADER = "iter,loss,cosine,mean_abs_delta"
-_SCALARS = tuple(f.name for f in fields(AttackRecord) if f.name not in ("image", "trace"))
+# the keys read_records needs and their types: the record's scalar fields in field order,
+# then the sidecar keys it reads back
+_SCALARS = {name: kind for name, kind in get_type_hints(AttackRecord).items()
+            if name not in ("image", "trace")}
+_KEYS = _SCALARS | {"image_shape": list[int], "image_raw": str,
+                    "trace": list[tuple[tuple(get_type_hints(TracePoint).values())]]}
 
 
 def write_trace_csv(trace, path) -> None:
@@ -58,10 +65,14 @@ def read_records(path) -> list[AttackRecord]:
     for n, line in enumerate(path.read_text().splitlines(), start=1):
         if not line.strip():
             continue
-        obj = json.loads(line)
-        require_keys(obj, _SCALARS + ("image_shape", "image_raw", "trace"), f"{path}: line {n}")
+        obj, where = json.loads(line), f"{path}: line {n}"
+        require_keys(obj, _KEYS, where)
         raw = (path.parent / obj["image_raw"]).read_bytes()
-        image = np.frombuffer(raw, dtype="<f4").reshape(obj["image_shape"]).astype(np.float32)
+        shape = obj["image_shape"]
+        if len(shape) != 3 or min(shape) < 0 or 4 * math.prod(shape) != len(raw):
+            raise FieldError(f"{where}: key 'image_shape': {shape} does not fit the "
+                             f"{len(raw)} bytes of {obj['image_raw']}")
+        image = np.frombuffer(raw, dtype="<f4").reshape(shape).astype(np.float32)
         records.append(AttackRecord(**{k: obj[k] for k in _SCALARS}, image=image,
                                     trace=[TracePoint(*p) for p in obj["trace"]]))
     return records

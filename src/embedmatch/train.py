@@ -160,7 +160,7 @@ def train(config: ModelConfig, tcfg: TrainConfig, train_items, val_items):
 
 
 def evaluate(weights: ModelWeights, items) -> dict[str, float]:
-    """Fraction of correct predictions per embedding head; one batched pass serves both."""
+    """Fraction of items whose argmax label is right, per embedding head; one pass serves both."""
     if not items:
         raise ValueError("evaluation split is empty")
     rows = outputs([item.image for item in items], weights)

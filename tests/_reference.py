@@ -3,16 +3,17 @@
 An independent float64 re-implementation of the network, which shares no
 code with embedmatch.model: a straight-line numpy forward pass kept in 64-bit
 end to end, so finite-difference gradient checks are not limited by float32
-storage noise.  Beside it: a central-difference gradient, one-image-at-a-time
-recomputes of the match success rate and of the per-record metrics, SSIM by
-its direct 121-tap 2-D window, the detector's noisy copies, the float32 primitive formulas written with
-numpy's mean and var, and the analytic size of a weight file.
+storage noise.  Beside it: the predicted label of the library's own forward
+pass, a central-difference gradient, one-image-at-a-time recomputes of the
+match success rate and of the per-record metrics, SSIM by its direct 121-tap
+2-D window, the detector's noisy copies, the float32 primitive formulas
+written with numpy's mean and var, and the analytic size of a weight file.
 """
 
 import numpy as np
 
 from embedmatch.metrics import per_record_metrics
-from embedmatch.model import embed, expected_shapes, predict
+from embedmatch.model import embed, expected_shapes, outputs
 from embedmatch.weights_io import _HPARAM_FIELDS, HPARAMS_NAME
 
 LN_EPS = 1e-6
@@ -93,6 +94,12 @@ def reference_logits(image, weights, kind):
     e = reference_embedding(image, weights, kind)
     t = weights.tensors
     return e @ t[f"head.{kind}.w"].astype(np.float64) + t[f"head.{kind}.b"].astype(np.float64)
+
+
+def predict(images, weights, kind: str):
+    """Predicted class label (an int, or an int array for a stack); ties go to the lowest index."""
+    labels = np.argmax(outputs(images, weights)[f"logits.{kind}"], axis=-1)
+    return int(labels) if labels.ndim == 0 else labels
 
 
 def finite_diff_gradient(evaluate, x: np.ndarray, h: float) -> np.ndarray:

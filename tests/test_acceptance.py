@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from _reference import (finite_diff_gradient, match_success_rate, record_metrics,
+from _reference import (finite_diff_gradient, match_success_rate, predict, record_metrics,
                         reference_matching_loss)
 from conftest import random_image, tiny_config
 
@@ -22,7 +22,7 @@ from embedmatch.cli import main as cli_main
 from embedmatch.data import generate_synthetic
 from embedmatch.detector import sweep
 from embedmatch.metrics import aggregate, cosine, psnr, ssim
-from embedmatch.model import ModelConfig, embed, matching_loss_grad_embed, predict
+from embedmatch.model import ModelConfig, embed, matching_loss_grad_embed
 from embedmatch.pca import fit_pca
 from embedmatch.pca import project as pca_project
 from embedmatch.records_io import write_trace_csv
@@ -70,7 +70,7 @@ def test_criterion_1_gradient_correctness():
         kind = "class_token" if i % 2 else "mil_mean"
         x = random_image(rng, cfg)
         target = embed(random_image(rng, cfg), weights, kind)
-        _, grad, _, _ = matching_loss_grad_embed(x, target, weights, kind)
+        _, grad, _, _ = matching_loss_grad_embed(x, target.values, weights, kind)
         fd = finite_diff_gradient(
             lambda v: reference_matching_loss(v, target.values, weights, kind), x, 1e-3)
         rel = np.linalg.norm(grad.astype(np.float64) - fd) / np.linalg.norm(fd)
@@ -94,7 +94,7 @@ def test_criterion_2_projection_soundness():
         src, tgt = rng.choice(len(items), size=2, replace=False)
         x0 = items[src].image
         target = embed(items[tgt].image, weights, ATTACK_KIND)
-        record = prm(x0, target, weights,
+        record = prm(x0, target.values, weights,
                      PRMConfig(eta=0.1, epsilon=eps, max_iters=60, kind=ATTACK_KIND,
                                trace_every=10, conv_threshold=0.0))
         # max_abs_delta is the running max over every post-update iterate
@@ -224,7 +224,7 @@ def _boundary_matched(src_item, tgt_item, weights, kind=ATTACK_KIND,
     the minimally matched products.  Both segment endpoints are feasible
     iterates, hence every interpolate stays in the epsilon ball and [0, 1].
     """
-    target = embed(tgt_item.image, weights, kind)
+    target = embed(tgt_item.image, weights, kind).values
     x0 = src_item.image
     before = predict(x0, weights, kind)
     x = x0.copy()

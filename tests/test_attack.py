@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from _reference import predict
 from conftest import random_image, tiny_config
 
 from embedmatch import attack
@@ -10,7 +11,7 @@ from embedmatch.attack import (AttackError, AttackRecord, PairingError,
                                PRMConfig, build_pairs, prm, project, run_suite)
 from embedmatch.autodiff import ShapeError
 from embedmatch.data import LabelledImage
-from embedmatch.model import CHUNK, ModelConfig, embed, predict
+from embedmatch.model import CHUNK, ModelConfig, embed
 from embedmatch.records_io import write_records
 from embedmatch.weights_io import init_weights
 
@@ -55,7 +56,7 @@ def test_project_shape_mismatch():
 def test_prm_converges_immediately_at_own_embedding(setup):
     cfg, w, rng = setup
     x0 = random_image(rng, cfg)
-    target = embed(x0, w, "mil_mean")
+    target = embed(x0, w, "mil_mean").values
     record = prm(x0, target, w, PRMConfig(kind="mil_mean", max_iters=50))
     assert record.converged
     assert record.iterations_used == 1
@@ -69,14 +70,14 @@ def test_prm_trace_cosine_never_exceeds_one():
     rng = np.random.default_rng(0)
     for _ in range(20):
         x0 = random_image(rng, w.config)
-        record = prm(x0, embed(x0, w, "mil_mean"), w, PRMConfig(max_iters=3))
+        record = prm(x0, embed(x0, w, "mil_mean").values, w, PRMConfig(max_iters=3))
         assert record.converged and -1.0 <= record.trace[0].cosine <= 1.0
 
 
 def test_prm_epsilon_zero_keeps_source(setup):
     cfg, w, rng = setup
     x0 = random_image(rng, cfg)
-    target = embed(random_image(rng, cfg), w, "class_token")
+    target = embed(random_image(rng, cfg), w, "class_token").values
     record = prm(x0, target, w,
                  PRMConfig(kind="class_token", epsilon=0.0, max_iters=20))
     assert record.image.tobytes() == x0.tobytes()
@@ -86,7 +87,7 @@ def test_prm_epsilon_zero_keeps_source(setup):
 def test_prm_trace_density_and_final_state(setup):
     cfg, w, rng = setup
     x0 = random_image(rng, cfg)
-    target = embed(random_image(rng, cfg), w, "class_token")
+    target = embed(random_image(rng, cfg), w, "class_token").values
     record = prm(x0, target, w,
                  PRMConfig(kind="class_token", max_iters=3, trace_every=1,
                            conv_threshold=0.0))
@@ -100,7 +101,7 @@ def test_prm_ball_invariant_and_range(setup):
     cfg, w, rng = setup
     for _ in range(5):
         x0 = random_image(rng, cfg)
-        target = embed(random_image(rng, cfg), w, "mil_mean")
+        target = embed(random_image(rng, cfg), w, "mil_mean").values
         eps = 0.05
         record = prm(x0, target, w,
                      PRMConfig(kind="mil_mean", epsilon=eps, eta=0.5, max_iters=30,
@@ -213,7 +214,7 @@ def _written(records, out):
 
 def _prm_pair(w, cfg, by_id, source_id, target_id):
     source, target = by_id[source_id], by_id[target_id]
-    return prm(source.image, embed(target.image, w, cfg.kind), w, cfg,
+    return prm(source.image, embed(target.image, w, cfg.kind).values, w, cfg,
                source_id=source_id, target_id=target_id,
                label_source_true=source.label, label_target_true=target.label)
 
@@ -265,7 +266,7 @@ def test_run_suite_contains_non_finite_pair(setup):
     assert [_record_key(r) for r in records] == \
         [_record_key(r) for i, r in enumerate(clean) if i != bad]
     with pytest.raises(AttackError, match="at iteration 1$"):
-        prm(poisoned, embed(by_id[pairs[bad][1]].image, w, UNEVEN.kind), w, UNEVEN)
+        prm(poisoned, embed(by_id[pairs[bad][1]].image, w, UNEVEN.kind).values, w, UNEVEN)
 
 
 def test_run_suite_rejects_empty(setup):
@@ -284,7 +285,7 @@ def test_prm_raises_cosine_on_trained_model(desk_model, desk_dataset):
     test_items = desk_dataset["test"]
     pair = build_pairs(test_items, seed=97, limit=1)[0]
     source, target = by_id[pair[0]], by_id[pair[1]]
-    target_emb = embed(target.image, weights, "mil_mean")
+    target_emb = embed(target.image, weights, "mil_mean").values
     record = prm(source.image, target_emb, weights,
                  PRMConfig(eta=0.05, epsilon=0.1, max_iters=5000, kind="mil_mean"),
                  source_id=source.id, target_id=target.id,

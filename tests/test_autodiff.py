@@ -547,7 +547,7 @@ def test_tiny_vit_gradient_matches_finite_differences():
     weights = init_weights(cfg, seed=9)
     x = random_image(rng, cfg)
     target = embed(random_image(rng, cfg), weights, "class_token")
-    _, grad, _, _ = matching_loss_grad_embed(x, target, weights, "class_token")
+    _, grad, _, _ = matching_loss_grad_embed(x, target.values, weights, "class_token")
     fd = finite_diff_gradient(
         lambda v: reference_matching_loss(v, target.values, weights, "class_token"), x, 1e-3)
     rel = np.linalg.norm(grad.astype(np.float64) - fd) / np.linalg.norm(fd)

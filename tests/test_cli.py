@@ -255,6 +255,30 @@ def _test_split(by_id, seed):
     return [by_id[i] for i in split(list(by_id), derive_seed(seed, "split")).test]
 
 
+def test_metrics_and_report_are_strict_json_when_every_psnr_is_infinite(pipeline, tmp_path):
+    # records whose image is their source: every original PSNR is infinite, its mean NaN
+    by_id = {it.id: it for it in load_dataset(pipeline / "data" / "manifest.csv")}
+    records = read_records(pipeline / "attack" / "records.jsonl")
+    for r in records:
+        r.image = by_id[r.source_id].image
+    run = tmp_path / "run"
+    write_records(records, run)
+    shutil.copy(pipeline / "attack" / "manifest-attack.json", run)
+    out = tmp_path / "out"
+    assert main(["metrics"] + _analysis_args(pipeline, out)
+                + ["--records", str(run / "records.jsonl")]) == 0
+    assert main(["report", "--run", str(run), "--out", str(out)]) == 0
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    metrics = json.loads((out / "metrics.json").read_text(), parse_constant=reject)
+    assert metrics["psnr_excluded"] == len(records)
+    assert metrics["mean_psnr_original"] is None and metrics["std_psnr_original"] is None
+    report = json.loads((out / "report.json").read_text(), parse_constant=reject)
+    assert report["metrics"] == metrics
+
+
 @pytest.mark.parametrize("command", ["metrics", "project", "detect", "report"])
 def test_analysis_command_runs_each_image_forward_once(pipeline, tmp_path, monkeypatch,
                                                        command):
@@ -337,8 +361,46 @@ def test_metrics_under_another_seed_reads_images_off_its_test_split(pipeline, tm
     assert report["clean_accuracy"] == evaluate(weights, test_items)["mil_mean"]
 
 
-@pytest.mark.parametrize("case", ["sweep", "sweep-short-row", "manifest", "manifest-kind",
-                                  "manifest-kind-list", "records", "records-number"])
+_DROP = object()
+# case: (file, key path into its JSON, new value or _DROP, what the message names)
+_JSON_EDITS = {
+    "manifest": ("manifest-attack.json", ("args", "weights"), _DROP,
+                 "args: missing key 'weights'"),
+    "manifest-kind": ("manifest-attack.json", ("args", "kind"), "cnn", "args: unknown kind 'cnn'"),
+    "manifest-kind-list": ("manifest-attack.json", ("args", "kind"), ["mil"],
+                           "args: unknown kind ['mil']"),
+    "manifest-weights-type": ("manifest-attack.json", ("args", "weights"), 5,
+                              "args: key 'weights': expected str"),
+    "manifest-data-type": ("manifest-attack.json", ("args", "data"), ["data"],
+                           "args: key 'data': expected str"),
+    "manifest-seed-type": ("manifest-attack.json", ("seed",), "abc", "key 'seed': expected int"),
+    "manifest-seed-fraction": ("manifest-attack.json", ("seed",), 1.5, "key 'seed': expected int"),
+    "manifest-seed-negative": ("manifest-attack.json", ("seed",), -1, "key 'seed': must be >= 0"),
+    "records": ("records.jsonl", ("label_after",), _DROP, "line 1: missing key 'label_after'"),
+    "records-label-type": ("records.jsonl", ("label_after",), "x",
+                           "line 1: key 'label_after': expected int"),
+    "records-trace-point": ("records.jsonl", ("trace", 0), [1, 2],
+                            "line 1: key 'trace': expected list[tuple[int, float, float, float]]"),
+    "records-trace-type": ("records.jsonl", ("trace",), 5, "line 1: key 'trace'"),
+    "records-shape-type": ("records.jsonl", ("image_shape",), "abc",
+                           "line 1: key 'image_shape': expected list[int]"),
+    "records-shape-size": ("records.jsonl", ("image_shape",), [2, 2],
+                           "line 1: key 'image_shape': [2, 2] does not fit"),
+    "records-raw-type": ("records.jsonl", ("image_raw",), 5,
+                         "line 1: key 'image_raw': expected str"),
+}
+
+
+def _edit_json(obj, keys, value):
+    for key in keys[:-1]:
+        obj = obj[key]
+    if value is _DROP:
+        del obj[keys[-1]]
+    else:
+        obj[keys[-1]] = value
+
+
+@pytest.mark.parametrize("case", ["sweep", "sweep-short-row", *_JSON_EDITS, "records-number"])
 def test_input_missing_a_key_is_data_error(pipeline, tmp_path, capsys, case):
     run = tmp_path / "run"
     shutil.copytree(pipeline / "attack", run,
@@ -346,33 +408,26 @@ def test_input_missing_a_key_is_data_error(pipeline, tmp_path, capsys, case):
     records = run / "records.jsonl"
     if case == "sweep":
         (run / "sweep.csv").write_text("sigma,clean\n0.05,0.0\n")
+        where = "sweep.csv: row 2: missing key 'clean_rate'"
     elif case == "sweep-short-row":
         (run / "sweep.csv").write_text("sigma,clean_rate,attacked_rate\n0.05,0.0\n")
-    elif case.startswith("manifest"):
-        manifest = json.loads((run / "manifest-attack.json").read_text())
-        if case == "manifest":
-            del manifest["args"]["weights"]
-        else:
-            manifest["args"]["kind"] = "cnn" if case == "manifest-kind" else ["mil"]
-        (run / "manifest-attack.json").write_text(json.dumps(manifest))
-    elif case == "records":
-        first, *rest = records.read_text().splitlines()
-        obj = json.loads(first)
-        del obj["label_after"]
-        records.write_text("\n".join([json.dumps(obj)] + rest) + "\n")
-    else:
+        where = "sweep.csv: row 2: missing key 'attacked_rate'"
+    elif case == "records-number":
         records.write_text("3\n")  # valid JSON, but not an object
+        where = "records.jsonl: line 1: missing key 'source_id'"
+    else:
+        name, keys, value, message = _JSON_EDITS[case]
+        text = (run / name).read_text()
+        # records.jsonl: the first line's object; the manifest: the whole file's
+        first, *rest = text.splitlines() if name == "records.jsonl" else [text]
+        obj = json.loads(first)
+        _edit_json(obj, keys, value)
+        (run / name).write_text("\n".join([json.dumps(obj)] + rest) + "\n")
+        where = f"{name}: {message}"
     out = tmp_path / "out"
     argv = (["metrics"] + _analysis_args(pipeline, out) + ["--records", str(records)]
             if case.startswith("records") else ["report", "--run", str(run), "--out", str(out)])
     assert main(argv) == 2
-    where = {"sweep": "sweep.csv: row 2: missing key 'clean_rate'",
-             "sweep-short-row": "sweep.csv: row 2: missing key 'attacked_rate'",
-             "manifest": "manifest-attack.json: args: missing key 'weights'",
-             "manifest-kind": "manifest-attack.json: args: unknown kind 'cnn'",
-             "manifest-kind-list": "manifest-attack.json: args: unknown kind ['mil']",
-             "records": "records.jsonl: line 1: missing key 'label_after'",
-             "records-number": "records.jsonl: line 1: missing key 'source_id'"}[case]
     err = capsys.readouterr().err
     assert err.startswith("data error") and f"{run / where}" in err
     assert not out.exists()

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from _reference import noisy_copies
+from _reference import noisy_copies, predict
 from conftest import random_image, tiny_config
 
 from embedmatch.detector import DetectorConfig, detect, sweep
-from embedmatch.model import CHUNK, predict
+from embedmatch.model import CHUNK, outputs
 from embedmatch.seeding import derive_seed
 from embedmatch.weights_io import init_weights
 
@@ -77,9 +77,9 @@ def test_noisy_copies_come_from_each_images_stream(setup, monkeypatch):
 
     def recording(stack, *args):
         classified.append(stack)
-        return predict(stack, *args)
+        return outputs(stack, *args)
 
-    monkeypatch.setattr("embedmatch.detector.predict", recording)
+    monkeypatch.setattr("embedmatch.detector.outputs", recording)
     detect(images, [0, 0, 0], w, "mil_mean", DetectorConfig(sigma=0.3, draws=2), [4, 9, 4])
     (stack,) = classified
     assert stack.dtype == np.float32

@@ -8,12 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _reference import finite_diff_gradient, reference_embedding, reference_logits
+from _reference import finite_diff_gradient, predict, reference_embedding, reference_logits
 from conftest import random_image, tiny_config
 
 from embedmatch.autodiff import Forward, ShapeError, Tape
 from embedmatch.model import (CHUNK, EMBED_KINDS, Embedding, ModelConfig, embed,
-                              keep_freed_memory, matching_loss_grad_embed, outputs, predict,
+                              keep_freed_memory, matching_loss_grad_embed, outputs,
                               record_forward)
 from embedmatch.weights_io import init_weights
 
@@ -115,7 +115,7 @@ def test_matching_loss_at_own_embedding_is_zero(setup):
     cfg, w, rng = setup
     x = random_image(rng, cfg)
     for kind in EMBED_KINDS:
-        loss, grad, _, _ = matching_loss_grad_embed(x, embed(x, w, kind), w, kind)
+        loss, grad, _, _ = matching_loss_grad_embed(x, embed(x, w, kind).values, w, kind)
         assert loss < 1e-10
         assert np.max(np.abs(grad)) < 1e-6
 
@@ -124,7 +124,7 @@ def test_matching_loss_is_half_squared_distance(setup):
     cfg, w, rng = setup
     x = random_image(rng, cfg)
     target = embed(random_image(rng, cfg), w, "mil_mean")
-    loss, _, emb, _ = matching_loss_grad_embed(x, target, w, "mil_mean")
+    loss, _, emb, _ = matching_loss_grad_embed(x, target.values, w, "mil_mean")
     d = emb.astype(np.float64) - target.values.astype(np.float64)
     assert abs(loss - 0.5 * float(d @ d)) < 1e-9 * max(1.0, loss)
 
@@ -134,7 +134,7 @@ def test_matching_loss_nonnegative(setup):
     for _ in range(10):
         x = random_image(rng, cfg)
         target = embed(random_image(rng, cfg), w, "class_token")
-        loss, _, _, _ = matching_loss_grad_embed(x, target, w, "class_token")
+        loss, _, _, _ = matching_loss_grad_embed(x, target.values, w, "class_token")
         assert loss >= 0.0
 
 
@@ -144,18 +144,10 @@ def test_matching_grad_matches_finite_differences_both_kinds(setup):
     x = random_image(rng, cfg)
     for kind in EMBED_KINDS:
         target = embed(random_image(rng, cfg), w, kind)
-        _, grad, _, _ = matching_loss_grad_embed(x, target, w, kind)
+        _, grad, _, _ = matching_loss_grad_embed(x, target.values, w, kind)
         fd = finite_diff_gradient(
             lambda v: reference_matching_loss(v, target.values, w, kind), x, 1e-3)
         assert np.linalg.norm(grad.astype(np.float64) - fd) <= 1e-3 * max(np.linalg.norm(fd), 1.0)
-
-
-def test_matching_rejects_kind_mismatch(setup):
-    cfg, w, rng = setup
-    x = random_image(rng, cfg)
-    target = embed(x, w, "class_token")
-    with pytest.raises(ValueError):
-        matching_loss_grad_embed(x, target, w, "mil_mean")
 
 
 def test_embedding_kind_validation():
@@ -188,13 +180,12 @@ def test_stack_equals_single_calls_bitwise(config, b, seed):
         assert stacked.values.tobytes() == rows[kind].tobytes()
         labels = predict(images, w, kind)
         assert [int(v) for v in labels] == [predict(x, w, kind) for x in images]
-        targets = Embedding(stacked.values[::-1].copy(), kind)
+        targets = stacked.values[::-1].copy()
         losses, grads, embs, step_labels = matching_loss_grad_embed(images, targets, w, kind)
         assert grads.shape == images.shape and embs.shape == (b, config.embed_dim)
         assert step_labels.tolist() == labels.tolist()
         for i, x in enumerate(images):
-            loss, grad, emb, label = matching_loss_grad_embed(
-                x, Embedding(targets.values[i], kind), w, kind)
+            loss, grad, emb, label = matching_loss_grad_embed(x, targets[i], w, kind)
             assert loss == losses[i]
             assert grad.tobytes() == grads[i].tobytes()
             assert emb.tobytes() == embs[i].tobytes()
@@ -229,10 +220,10 @@ def test_warm_matching_steps_take_almost_no_page_faults():
     images = np.stack([random_image(rng, w.config) for _ in range(CHUNK)])
     target = embed(np.stack([random_image(rng, w.config) for _ in range(CHUNK)]), w, "mil_mean")
     for _ in range(3):
-        matching_loss_grad_embed(images, target, w, "mil_mean")
+        matching_loss_grad_embed(images, target.values, w, "mil_mean")
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     for _ in range(10):
-        matching_loss_grad_embed(images, target, w, "mil_mean")
+        matching_loss_grad_embed(images, target.values, w, "mil_mean")
     assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before <= 100
 
 
@@ -241,6 +232,6 @@ def test_stack_target_shape_must_match(setup):
     images = np.stack([random_image(rng, cfg) for _ in range(3)])
     targets = embed(images[:2], w, "mil_mean")
     with pytest.raises(ShapeError):
-        matching_loss_grad_embed(images, targets, w, "mil_mean")
+        matching_loss_grad_embed(images, targets.values, w, "mil_mean")
     with pytest.raises(ShapeError):
         embed(images[:0], w, "mil_mean")

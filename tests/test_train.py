@@ -138,7 +138,7 @@ def test_evaluate_matches_hand_count():
     cfg = tiny_config()
     weights = init_weights(cfg, 3)
     items = _tiny_items(20, cfg, seed=9)
-    from embedmatch.model import predict
+    from _reference import predict
     accs = evaluate(weights, items)
     for kind, acc in accs.items():
         manual = sum(int(predict(it.image, weights, kind) == it.label) for it in items) / 20
