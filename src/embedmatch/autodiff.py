@@ -265,8 +265,6 @@ def _fwd_gelu(attrs, arrays):
 
 
 def _vjp_gelu(attrs, ctx, g, arrays, need):
-    if not need[0]:
-        return (None,)
     (th,) = ctx
     x64 = _f64(arrays[0])
     du = _GELU_K * (1.0 + 3.0 * _GELU_C * (x64 * x64))
@@ -305,8 +303,6 @@ def _fwd_attention(attrs, arrays):
 
 
 def _vjp_attention(attrs, ctx, g, arrays, need):
-    if not need[0]:
-        return (None,)
     (s,) = ctx
     heads = int(attrs["heads"])
     q64, k64, v64 = np.ascontiguousarray(_split_heads(arrays[0], 3, heads), dtype=np.float64)
@@ -334,8 +330,6 @@ def _fwd_patchify(attrs, arrays):
 
 
 def _vjp_patchify(attrs, ctx, g, arrays, need):
-    if not need[0]:
-        return (None,)
     ps = int(attrs["patch_size"])
     *lead, h, w, c = arrays[0].shape
     n = len(lead)
@@ -355,8 +349,6 @@ def _fwd_mean_pool(attrs, arrays):
 
 
 def _vjp_mean_pool(attrs, ctx, g, arrays, need):
-    if not need[0]:
-        return (None,)
     r0, r1 = attrs["rows"]
     gx = np.zeros(arrays[0].shape, dtype=np.float64)
     gx[..., r0:r1, :] = g / (r1 - r0)

@@ -285,10 +285,9 @@ def _fmt_pct(x: float) -> str:
 
 
 def _summary_text(report, attack_args, sweep_rows) -> str:
-    kind = attack_args.get("kind", "?")
     eps = attack_args.get("epsilon", "?")
     lines = [
-        f"== Accuracy under attack (kind={kind}, epsilon={eps}) ==",
+        f"== Accuracy under attack (kind={attack_args['kind']}, epsilon={eps}) ==",
         f"records            {report.n_records}",
         f"clean accuracy     {_fmt_pct(report.clean_accuracy)}",
         f"attacked accuracy  {_fmt_pct(report.attacked_accuracy)}"

@@ -200,9 +200,13 @@ def save_image(image: np.ndarray, path) -> None:
 
 
 def load_manifest(path) -> list[tuple[str, int]]:
-    """Read a `path,label` CSV; rows come back in file order."""
+    """Read a `path,label` CSV; rows come back in file order.
+
+    Two rows whose files share a stem (the image id) are a ManifestError.
+    """
     path = Path(path)
     entries: list[tuple[str, int]] = []
+    rows_by_id: dict[str, int] = {}
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -216,6 +220,11 @@ def load_manifest(path) -> list[tuple[str, int]]:
             rel, label_tok = row[0].strip(), row[1].strip()
             if not label_tok.isdigit():
                 raise ManifestError(f"{path}: row {row_num}: unknown label token {label_tok!r}")
+            image_id = (path.parent / rel).stem
+            if image_id in rows_by_id:
+                raise ManifestError(f"{path}: row {row_num}: image id {image_id!r} is "
+                                    f"already listed in row {rows_by_id[image_id]}")
+            rows_by_id[image_id] = row_num
             entries.append((rel, int(label_tok)))
     return entries
 
@@ -225,10 +234,7 @@ def save_manifest(entries, path) -> None:
 
 
 def dataset_index(manifest_path) -> dict[str, tuple[Path, int]]:
-    """Image id (file stem) -> (image path, label) per manifest row, in file order; decodes nothing.
-
-    An id listed twice keeps its first position and its last row.
-    """
+    """Image id (file stem) -> (image path, label) per manifest row, in file order; decodes nothing."""
     manifest_path = Path(manifest_path)
     index = {}
     for rel, label in load_manifest(manifest_path):

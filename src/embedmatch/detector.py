@@ -28,20 +28,14 @@ class DetectorConfig:
             raise ValueError("draws must be >= 1")
 
 
-@dataclass
-class DetectResult:
-    flagged: np.ndarray       # (B,) bool
-    noisy_labels: np.ndarray  # (B, draws)
-
-
 def detect(images, clean_labels, weights: ModelWeights, kind: str,
-           cfg: DetectorConfig, seeds) -> DetectResult:
+           cfg: DetectorConfig, seeds) -> np.ndarray:
     """Classify cfg.draws noisy copies of each image; flag it on any label mismatch.
 
     ``images`` is a stack (B, H, W, C) with its ``clean_labels``, the argmax of its logits.
     Image i's noise comes from its own stream, seeded by ``seeds[i]``, so a
     flag does not depend on the rest of the stack; all B * draws noisy copies
-    are classified in one batched call.
+    are classified in one batched call.  Returns the (B,) bool flags.
     """
     images = np.asarray(images, dtype=np.float32)
     if len(seeds) != len(images):
@@ -55,7 +49,7 @@ def detect(images, clean_labels, weights: ModelWeights, kind: str,
             copy[...] = np.clip(n, 0.0, 1.0, out=n)  # rounded to float32 once, here
     labels = np.argmax(outputs(noisy.reshape(-1, *images.shape[1:]), weights)[f"logits.{kind}"],
                        axis=-1).reshape(len(images), cfg.draws)
-    return DetectResult((labels != np.asarray(clean_labels)[:, None]).any(axis=1), labels)
+    return (labels != np.asarray(clean_labels)[:, None]).any(axis=1)
 
 
 @dataclass
@@ -82,7 +76,7 @@ def sweep(clean_images, attacked_images, sigmas, weights: ModelWeights,
         cfg = DetectorConfig(sigma=sigma, draws=draws)
         rates = [int(detect(images, clean, weights, kind, cfg,
                             [derive_seed(seed, "detector", 2 * si + g, i)
-                             for i in range(len(images))]).flagged.sum()) / len(images)
+                             for i in range(len(images))]).sum()) / len(images)
                  for g, (images, clean) in enumerate(zip((clean_images, attacked_images), labels))]
         rows.append(SweepRow(float(sigma), *rates))
     return rows

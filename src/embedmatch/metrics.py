@@ -1,8 +1,8 @@
 """Quantitative measures: PSNR, SSIM, cosine similarity, attack aggregates.
 
-PSNR runs on float images with peak 1.0 and returns +inf for identical
-inputs; infinite values are excluded from dataset means (the exclusion count
-is reported).  SSIM follows the canonical definition: 11x11 Gaussian window
+Images are floats in [0, 1], so PSNR and SSIM take a dynamic range of 1.0.  PSNR
+returns +inf for identical inputs; infinite values are excluded from dataset means (the
+exclusion count is reported).  SSIM follows the canonical definition: 11x11 Gaussian window
 with sigma 1.5, K1=0.01, K2=0.03, valid windows only, channels averaged.  The window
 is an outer product of 1-D Gaussians, so two banded matmuls (rows @ map @ cols.T) take
 every window mean of the maps x, y, x*x, y*y, x*y of all channels at once.
@@ -23,7 +23,7 @@ SSIM_K1 = 0.01
 SSIM_K2 = 0.03
 
 
-def psnr(a: np.ndarray, b: np.ndarray, peak: float = 1.0) -> float:
+def psnr(a: np.ndarray, b: np.ndarray) -> float:
     """Peak signal-to-noise ratio in dB; +inf sentinel for identical images."""
     a = np.asarray(a)
     b = np.asarray(b)
@@ -32,7 +32,7 @@ def psnr(a: np.ndarray, b: np.ndarray, peak: float = 1.0) -> float:
     mse = float(np.mean((a.astype(np.float64) - b.astype(np.float64)) ** 2))
     if mse == 0.0:
         return math.inf
-    return 10.0 * math.log10(peak * peak / mse)
+    return 10.0 * math.log10(1.0 / mse)
 
 
 def _window_matrix(n: int) -> np.ndarray:
@@ -45,7 +45,7 @@ def _window_matrix(n: int) -> np.ndarray:
     return band
 
 
-def ssim(a: np.ndarray, b: np.ndarray, peak: float = 1.0) -> float:
+def ssim(a: np.ndarray, b: np.ndarray) -> float:
     """Mean structural similarity over valid Gaussian windows, in [-1, 1]."""
     a = np.asarray(a)
     b = np.asarray(b)
@@ -58,8 +58,8 @@ def ssim(a: np.ndarray, b: np.ndarray, peak: float = 1.0) -> float:
     if a.shape[0] < SSIM_WINDOW or a.shape[1] < SSIM_WINDOW:
         raise ContractError(
             f"ssim: image {a.shape[:2]} smaller than {SSIM_WINDOW}x{SSIM_WINDOW} window")
-    c1 = (SSIM_K1 * peak) ** 2
-    c2 = (SSIM_K2 * peak) ** 2
+    c1 = SSIM_K1**2
+    c2 = SSIM_K2**2
     x, y = (np.moveaxis(v, 2, 0).astype(np.float64) for v in (a, b))  # (C, H, W)
     stack = np.stack([x, y, x * x, y * y, x * y])
     mx, my, mxx, myy, mxy = _window_matrix(a.shape[0]) @ stack @ _window_matrix(a.shape[1]).T

@@ -4,7 +4,8 @@ Each record is one JSON object per line, its keys AttackRecord's scalar fields
 in field order, then the sidecar keys.  The optimized image is stored next to
 the records file twice: as an 8-bit PPM preview and as a raw little-endian
 float32 sidecar (the exact attack output, shape recorded in the JSON).  The
-per-iteration trace is inline and also emitted as a CSV for plotting.
+per-iteration trace is inline, one [iter, loss, cosine, mean_abs_delta] list per
+point.  read_records ignores keys it does not need, so older files still load.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import numpy as np
 from .attack import AttackRecord, TracePoint
 from .data import FieldError, require_keys, save_image, write_file
 
-TRACE_HEADER = "iter,loss,cosine,mean_abs_delta"
 # the keys read_records needs and their types: the record's scalar fields in field order,
 # then the sidecar keys it reads back
 _SCALARS = {name: kind for name, kind in get_type_hints(AttackRecord).items()
@@ -29,28 +29,20 @@ _KEYS = _SCALARS | {"image_shape": list[int], "image_raw": str,
                     "trace": list[tuple[tuple(get_type_hints(TracePoint).values())]]}
 
 
-def write_trace_csv(trace, path) -> None:
-    lines = [TRACE_HEADER] + [",".join(map(repr, astuple(p))) for p in trace]
-    write_file(path, "\n".join(lines) + "\n")
-
-
 def write_records(records, out_dir) -> Path:
-    """Write records.jsonl plus images/ and traces/ sidecars under out_dir."""
+    """Write records.jsonl plus its images/ sidecars under out_dir."""
     out_dir = Path(out_dir)
     lines = []
     for r in records:
         stem = f"{r.source_id}__{r.target_id}"
         ppm_rel = f"images/{stem}.ppm"
         raw_rel = f"images/{stem}.f32"
-        trace_rel = f"traces/{stem}.csv"
         save_image(r.image, out_dir / ppm_rel)
         write_file(out_dir / raw_rel, np.ascontiguousarray(r.image, dtype="<f4").tobytes())
-        write_trace_csv(r.trace, out_dir / trace_rel)
         lines.append(json.dumps({k: getattr(r, k) for k in _SCALARS} | {
             "image_shape": list(r.image.shape),
             "image_ppm": ppm_rel,
             "image_raw": raw_rel,
-            "trace_csv": trace_rel,
             "trace": [astuple(p) for p in r.trace],
         }))
     path = out_dir / "records.jsonl"

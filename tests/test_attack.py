@@ -232,6 +232,10 @@ def test_run_suite_lockstep_equals_per_pair_prm(setup, tmp_path):
     assert _written(serial, tmp_path / "w1") == _written(parallel, tmp_path / "w4")
     for r, (source_id, target_id) in zip(serial, pairs):
         assert r.image.base is None  # a copy: a record never pins its chunk's stack
+        # the benchmark's record check reads trace[0] as iteration 1, the unperturbed source
+        iters = [p.iteration for p in r.trace]
+        assert iters[0] == 1 and iters[-1] == r.iterations_used
+        assert all(a < b for a, b in zip(iters, iters[1:]))
         assert _record_key(r) == _record_key(_prm_pair(w, UNEVEN, by_id, source_id, target_id))
         # the suite reads its labels off its own iteration tapes; predict is an independent oracle
         assert r.label_before == predict(by_id[source_id].image, w, UNEVEN.kind)

@@ -15,7 +15,7 @@ from _reference import record_metrics
 
 from embedmatch import model
 from embedmatch.cli import main
-from embedmatch.data import load_dataset, load_image, split
+from embedmatch.data import load_dataset, load_image, save_image, split
 from embedmatch.metrics import aggregate
 from embedmatch.records_io import read_records, write_records
 from embedmatch.seeding import derive_seed
@@ -173,6 +173,40 @@ def test_manifest_listing_no_images_is_data_error(pipeline, tmp_path, capsys, co
     assert "lists no images" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["train", "attack", "metrics", "project", "detect",
+                                     "report"])
+def test_manifest_listing_one_id_twice_is_data_error(pipeline, tmp_path, capsys, command):
+    # per-class folders repeat file stems: class0/0000.ppm and class1/0000.ppm are one id
+    data = tmp_path / "classes"
+    rows, per_class = ["path,label"], Counter()
+    for it in load_dataset(pipeline / "data" / "manifest.csv"):
+        rel = f"class{it.label}/{per_class[it.label]:04d}.ppm"
+        per_class[it.label] += 1
+        save_image(it.image, data / rel)
+        rows.append(f"{rel},{it.label}")
+    (data / "manifest.csv").write_text("\n".join(rows) + "\n")
+    first, second = (2 + rows[1:].index(f"class{k}/0000.ppm,{k}") for k in (0, 1))
+    out = ["--out", str(tmp_path / "out")]
+    run = tmp_path / "run"
+    if command == "report":
+        run.mkdir()
+        shutil.copy(pipeline / "attack" / "records.jsonl", run)
+        manifest = json.loads((pipeline / "attack" / "manifest-attack.json").read_text())
+        manifest["args"]["data"] = str(data)
+        (run / "manifest-attack.json").write_text(json.dumps(manifest))
+    argv = {
+        "train": ["train", "--data", str(data), "--seed", "7"] + out + SMALL_TRAIN,
+        "attack": ["attack", "--weights", str(pipeline / "model" / "weights.vitw"),
+                   "--data", str(data), "--seed", "7"] + out + SMALL_ATTACK,
+        "report": ["report", "--run", str(run)] + out,
+    }.get(command, [command] + _analysis_args(pipeline, tmp_path / "out") + ["--data", str(data)])
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error") and "image id '0000'" in err
+    assert f"row {first}" in err and f"row {second}" in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["metrics", "detect"])
 def test_records_naming_images_missing_from_data_is_data_error(pipeline, tmp_path, capsys,
                                                                command):
@@ -198,13 +232,12 @@ def test_attack_outputs_respect_epsilon(pipeline):
         assert obj["max_abs_delta"] <= 0.1 + 1e-6
     for r in records:
         assert (pipeline / "attack" / f"images/{r.source_id}__{r.target_id}.ppm").exists()
-        assert (pipeline / "attack" / f"traces/{r.source_id}__{r.target_id}.csv").exists()
+    assert not (pipeline / "attack" / "traces").exists()  # the trace is inline only
 
 
 def _record_files(root):
-    """records.jsonl and its image and trace sidecars under root, by relative path."""
-    paths = [root / "records.jsonl"] + sorted((root / "images").iterdir()) \
-        + sorted((root / "traces").iterdir())
+    """records.jsonl and its image sidecars under root, by relative path."""
+    paths = [root / "records.jsonl"] + sorted((root / "images").iterdir())
     return {p.relative_to(root).as_posix(): p.read_bytes() for p in paths}
 
 
@@ -218,7 +251,7 @@ def test_records_roundtrip_bitwise(pipeline, tmp_path):
     write_records(records, tmp_path / "rewritten")
     written = _record_files(tmp_path / "rewritten")
     assert written == _record_files(pipeline / "attack")
-    assert len(written) == 1 + 3 * len(records)
+    assert len(written) == 1 + 2 * len(records)
 
 
 def test_metrics_project_detect_report(pipeline):

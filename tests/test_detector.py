@@ -23,15 +23,30 @@ def _detect_one(x, w, kind, cfg, seed):
     return detect(x[None], [predict(x, w, kind)], w, kind, cfg, [seed])
 
 
-def test_sigma_zero_never_flags(setup):
+@pytest.fixture()
+def classified(monkeypatch):
+    """Every stack that detect classifies, in call order."""
+    stacks = []
+
+    def recording(stack, *args):
+        stacks.append(stack)
+        return outputs(stack, *args)
+
+    monkeypatch.setattr("embedmatch.detector.outputs", recording)
+    return stacks
+
+
+def test_sigma_zero_never_flags(setup, classified):
     cfg, w, rng = setup
     images = np.stack([random_image(rng, cfg) for _ in range(5)])
     clean = predict(images, w, "class_token")
-    result = detect(images, clean, w, "class_token", DetectorConfig(sigma=0.0, draws=3),
-                    seeds=range(5))
-    assert not result.flagged.any()
-    assert (result.noisy_labels == clean[:, None]).all()
-    assert result.noisy_labels.shape == (5, 3)
+    flagged = detect(images, clean, w, "class_token", DetectorConfig(sigma=0.0, draws=3),
+                     seeds=range(5))
+    assert flagged.shape == (5,) and flagged.dtype == bool
+    assert not flagged.any()
+    (stack,) = classified
+    noisy_labels = predict(stack, w, "class_token").reshape(5, 3)
+    assert (noisy_labels == clean[:, None]).all()
 
 
 def test_constant_logits_model_never_flags(setup):
@@ -41,45 +56,39 @@ def test_constant_logits_model_never_flags(setup):
     images = np.stack([random_image(rng, cfg) for _ in range(5)])
     clean = predict(images, w, "mil_mean")
     assert (clean == 0).all()  # tie broken to lowest index
-    result = detect(images, clean, w, "mil_mean", DetectorConfig(sigma=0.3, draws=4),
-                    seeds=[0] * 5)
-    assert not result.flagged.any()
+    assert not detect(images, clean, w, "mil_mean", DetectorConfig(sigma=0.3, draws=4),
+                      seeds=[0] * 5).any()
 
 
-def test_detect_deterministic_per_seed(setup):
+def test_detect_deterministic_per_seed(setup, classified):
     cfg, w, rng = setup
     x = random_image(rng, cfg)
     dcfg = DetectorConfig(sigma=0.1, draws=3)
     a = _detect_one(x, w, "class_token", dcfg, 12)
     b = _detect_one(x, w, "class_token", dcfg, 12)
-    assert a.flagged.tobytes() == b.flagged.tobytes()
-    assert a.noisy_labels.tobytes() == b.noisy_labels.tobytes()
+    assert a.tobytes() == b.tobytes()
+    assert classified[0].tobytes() == classified[1].tobytes()  # the noisy copies, too
     c = _detect_one(x, w, "class_token", dcfg, 13)
-    assert c.flagged.shape == (1,)
+    assert c.shape == (1,)
 
 
-def test_draws_are_nested_streams(setup):
-    # the k-draw label list starts with the 1-draw label: any 1-draw flag
+def test_draws_are_nested_streams(setup, classified):
+    # each image's k-draw stack starts with its 1-draw copy: any 1-draw flag
     # implies the k-draw flag
     cfg, w, rng = setup
     images = np.stack([random_image(rng, cfg) for _ in range(10)])
     clean = predict(images, w, "mil_mean")
     one = detect(images, clean, w, "mil_mean", DetectorConfig(sigma=0.2, draws=1), range(10))
     many = detect(images, clean, w, "mil_mean", DetectorConfig(sigma=0.2, draws=4), range(10))
-    assert (many.noisy_labels[:, 0] == one.noisy_labels[:, 0]).all()
-    assert (many.flagged >= one.flagged).all()
+    one_stack, many_stack = classified
+    first_draws = many_stack.reshape(10, 4, *images.shape[1:])[:, 0]
+    assert first_draws.tobytes() == one_stack.tobytes()
+    assert (many >= one).all()
 
 
-def test_noisy_copies_come_from_each_images_stream(setup, monkeypatch):
+def test_noisy_copies_come_from_each_images_stream(setup, classified):
     cfg, w, rng = setup
     images = np.stack([random_image(rng, cfg) for _ in range(3)])
-    classified = []
-
-    def recording(stack, *args):
-        classified.append(stack)
-        return outputs(stack, *args)
-
-    monkeypatch.setattr("embedmatch.detector.outputs", recording)
     detect(images, [0, 0, 0], w, "mil_mean", DetectorConfig(sigma=0.3, draws=2), [4, 9, 4])
     (stack,) = classified
     assert stack.dtype == np.float32
@@ -146,7 +155,7 @@ def test_sweep_rates_equal_per_image_detect_flags(setup):
         for g, (images, rate) in enumerate([(clean, row.clean_flag_rate),
                                             (attacked, row.attacked_flag_rate)]):
             flags = [bool(_detect_one(x, w, "mil_mean", dcfg,
-                                      derive_seed(seed, "detector", 2 * si + g, i)).flagged[0])
+                                      derive_seed(seed, "detector", 2 * si + g, i))[0])
                      for i, x in enumerate(images)]
             assert rate == sum(flags) / n
             flagged_any += any(flags)

@@ -1,4 +1,4 @@
-"""JSON-lines record serialization with image and trace sidecars."""
+"""JSON-lines record serialization with inline traces and image sidecars."""
 
 import json
 
@@ -8,7 +8,7 @@ from conftest import random_image, tiny_config
 
 from embedmatch.attack import PRMConfig, build_pairs, run_suite
 from embedmatch.data import LabelledImage
-from embedmatch.records_io import read_records, write_records, write_trace_csv
+from embedmatch.records_io import read_records, write_records
 from embedmatch.weights_io import init_weights
 
 
@@ -46,19 +46,21 @@ def test_jsonl_one_record_per_line(tmp_path):
     assert len(lines) == len(records)
     for line in lines:
         obj = json.loads(line)
-        assert {"source_id", "target_id", "image_ppm", "image_raw", "trace_csv",
+        assert {"source_id", "target_id", "image_ppm", "image_raw",
                 "trace", "max_abs_delta"} <= obj.keys()
         assert (tmp_path / obj["image_ppm"]).exists()
         assert (tmp_path / obj["image_raw"]).exists()
-        assert (tmp_path / obj["trace_csv"]).exists()
 
 
-def test_trace_csv_format(tmp_path):
+def test_keys_read_records_does_not_need_are_ignored(tmp_path):
+    # files written before the traces/ CSV mirror went carry a trace_csv key on each line
     records = _records(tmp_path)
-    path = tmp_path / "trace.csv"
-    write_trace_csv(records[0].trace, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "iter,loss,cosine,mean_abs_delta"
-    iters = [int(l.split(",")[0]) for l in lines[1:]]
-    assert iters == sorted(iters)
-    assert len(lines) >= 2
+    path = write_records(records, tmp_path / "old")
+    written = path.read_text()
+    path.write_text("".join(json.dumps(json.loads(line) | {"trace_csv": "traces/a__b.csv",
+                                                             "unknown": [1, "x"]}) + "\n"
+                            for line in written.splitlines()))
+    back = read_records(path)
+    assert [r.image.tobytes() for r in back] == [r.image.tobytes() for r in records]
+    # every other field, floats included, in the bytes of a line written afresh
+    assert write_records(back, tmp_path / "again").read_text() == written
