@@ -22,8 +22,16 @@ that nothing differentiates runs on :class:`Forward` instead: the same
 ``leaf``/``apply``/``value`` calls and the same primitive forwards, so the
 same values and errors, but no tape.
 
-Tapes are single-use, single-thread objects.  Recorded arrays are treated as
-immutable; callers must not mutate them afterwards.
+A tape keeps per node only what that node's VJP reads: its float64 context
+and the input values the VJP reads for the gradients it must produce (a
+``linear`` node keeps ``w`` when its input needs a gradient and ``x`` when its
+weight does), plus every input's shape.  ``leaf`` and ``apply`` return
+handles that hold the values, as :class:`Forward`'s ids are the values, so a
+value no VJP reads is freed once the caller drops it.
+
+Tapes are single-use, single-thread objects: backward drops each node once its
+VJP has run, and a second backward is a ContractError.  Recorded arrays are
+treated as immutable; callers must not mutate them afterwards.
 """
 
 from __future__ import annotations
@@ -46,78 +54,117 @@ class ContractError(ValueError):
     """An operation precondition was violated (e.g. an unknown primitive)."""
 
 
-@dataclass
+@dataclass(slots=True, eq=False)  # hashed by identity: backward's results are keyed by handle
+class Handle:
+    """One recorded node, as :meth:`Tape.leaf` and :meth:`Tape.apply` return it.
+
+    The tape keeps no reference to a handle, except to a watched leaf's, so
+    its value lives only as long as the caller holds the handle or a VJP
+    reads the value.
+    """
+
+    value: np.ndarray   # float32
+    index: int          # its place in Tape.nodes
+    requires: bool      # a gradient must flow into or through this node
+
+
+@dataclass(slots=True)
 class Node:
-    op: str                  # "leaf" or a primitive name
-    inputs: tuple[int, ...]
-    value: np.ndarray        # float32
+    """What the tape keeps of one primitive application that a gradient reaches.
+
+    ``need`` says per input whether a gradient must flow into it.  The node
+    keeps ``ctx``, the input values its VJP reads given ``need`` (``kept``,
+    with None for every other input) and every input's shape.
+    """
+
+    op: str
+    inputs: tuple[int, ...]     # input handles' indices
     attrs: dict
-    ctx: tuple               # float64 intermediates the vjp needs; () unless `requires`
-    requires: bool           # gradient must flow into or through this node
+    ctx: tuple                  # float64 intermediates
+    kept: tuple                 # per input, its float32 value or None
+    shapes: tuple               # per input, its shape
+    need: tuple[bool, ...]
 
 
 class Tape:
     """Ordered record of primitive applications.
 
-    Node ids are indices into ``nodes`` and are topologically ordered by
-    construction.  Leaves recorded with ``watch=True`` are the ones
-    :meth:`backward` returns gradients for.
+    ``leaf`` and ``apply`` return a :class:`Handle`; ``value`` reads it.
+    ``nodes`` holds, per handle index and in topological order, a watched
+    leaf's handle, a :class:`Node` per primitive application a gradient
+    reaches, and None for every other leaf or application.  The tape holds
+    no value that no VJP reads: an activation that only feeds an ``add`` is
+    freed once the caller rebinds its variable.
+    :meth:`backward` returns gradients for the watched leaves, drops each node
+    once its VJP has run, and may run once.
     """
 
     def __init__(self) -> None:
-        self.nodes: list[Node] = []
+        self.nodes: list[Handle | Node | None] = []
+        self._spent = False
 
-    def leaf(self, value: np.ndarray, *, watch: bool = False) -> int:
-        arr = np.asarray(value, dtype=np.float32)
-        self.nodes.append(Node("leaf", (), arr, {}, (), watch))
-        return len(self.nodes) - 1
+    def leaf(self, value: np.ndarray, *, watch: bool = False) -> Handle:
+        handle = Handle(np.asarray(value, dtype=np.float32), len(self.nodes), watch)
+        self.nodes.append(handle if watch else None)
+        return handle
 
-    def value(self, nid: int) -> np.ndarray:
-        return self.nodes[nid].value
+    def value(self, handle: Handle) -> np.ndarray:
+        return handle.value
 
-    def apply(self, op: str, *inputs: int, **attrs) -> int:
+    def apply(self, op: str, *inputs: Handle, **attrs) -> Handle:
         """Run one primitive forward and record it.
 
         ``op`` is one of linear, add, layer_norm, gelu, attention, patchify,
-        mean_pool, concat.  Returns the new node id.  The node keeps
-        backward context only when a gradient can reach it.
+        mean_pool, concat.  Returns the new node's handle.  The node keeps
+        backward context, and the inputs its VJP reads, only when a gradient
+        can reach it.
         """
-        out, ctx = _forward(op, [self.nodes[i].value for i in inputs], attrs)
-        requires = any(self.nodes[i].requires for i in inputs)
-        self.nodes.append(Node(op, tuple(inputs), out, attrs, ctx if requires else (), requires))
-        return len(self.nodes) - 1
+        arrays = [h.value for h in inputs]
+        out, ctx = _forward(op, arrays, attrs)
+        need = tuple(h.requires for h in inputs)
+        requires = any(need)
+        if requires:
+            kept = tuple(None if k is None or not need[k] else a
+                         for a, k in zip(arrays, _READ_BY.get(op, ())))
+            self.nodes.append(Node(op, tuple(h.index for h in inputs), attrs, ctx, kept,
+                                   tuple(a.shape for a in arrays), need))
+        else:
+            self.nodes.append(None)
+        return Handle(out, len(self.nodes) - 1, requires)
 
-    def backward(self, seeds: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
+    def backward(self, seeds: dict[Handle, np.ndarray]) -> dict[Handle, np.ndarray]:
         """Propagate seed gradients to every watched leaf they reach.
 
         Each seed is the loss gradient at one node, shaped like that node.
-        Returns float64 gradients keyed by leaf node id.  Gradient flow is
-        pruned at nodes whose subgraph contains no watched leaf.
+        Returns float64 gradients keyed by watched leaf handle.  Gradient flow
+        is pruned at nodes whose subgraph contains no watched leaf.  Each node
+        is dropped as soon as its VJP has run, so a second call is a
+        ContractError.
         """
+        if self._spent:
+            raise ContractError("backward already ran on this tape; a tape is single-use")
         grads: dict[int, np.ndarray] = {}
-        for nid, seed in seeds.items():
+        for handle, seed in seeds.items():
             g = np.asarray(seed, dtype=np.float64)
-            if g.shape != self.nodes[nid].value.shape:
+            if g.shape != handle.value.shape:
                 raise ShapeError(
                     f"backward: seed shape {g.shape} does not match node shape "
-                    f"{self.nodes[nid].value.shape}"
+                    f"{handle.value.shape}"
                 )
-            grads[nid] = g.copy()
-        leaf_grads: dict[int, np.ndarray] = {}
-        for nid in range(len(self.nodes) - 1, -1, -1):
-            g = grads.pop(nid, None)
-            if g is None:
+            grads[handle.index] = g.copy()
+        self._spent = True
+        nodes = self.nodes
+        leaf_grads: dict[Handle, np.ndarray] = {}
+        while nodes:
+            node = nodes.pop()
+            g = grads.pop(len(nodes), None)
+            if g is None or node is None:
                 continue
-            node = self.nodes[nid]
-            if node.op == "leaf":
-                leaf_grads[nid] = g
-                continue
-            need = [self.nodes[i].requires for i in node.inputs]
-            if not any(need):
+            if type(node) is Handle:
+                leaf_grads[node] = g
                 continue
             _, vjp = _PRIMITIVES[node.op]
-            arrays = [self.nodes[i].value for i in node.inputs]
-            for i, gi in zip(node.inputs, vjp(node.attrs, node.ctx, g, arrays, need)):
+            for i, gi in zip(node.inputs, vjp(node, g)):
                 if gi is None:
                     continue
                 grads[i] = grads[i] + gi if i in grads else gi
@@ -161,10 +208,14 @@ def _forward(op: str, arrays, attrs: dict):
 # primitive forward / vjp pairs
 #
 # forward: (attrs, float32 arrays) -> (float32 output, ctx)
-# vjp:     (attrs, ctx, float64 upstream grad, float32 arrays, need) -> per-input grads
+# vjp:     (node, float64 upstream grad) -> per-input grads
 #
 # ctx holds only float64 intermediates that cannot be recovered exactly from
-# the float32 inputs; a vjp re-casts the inputs it needs.
+# the float32 inputs.  A vjp reads the other inputs it needs from node.kept,
+# re-casting them, and every input's shape from node.shapes.  _READ_BY names,
+# per input, the input whose gradient reads its value; a primitive missing
+# from it keeps shapes only.  Float64 temporaries are updated in place where
+# that runs the same operations in the same order, so the bits are the same.
 # ---------------------------------------------------------------------------
 
 
@@ -191,12 +242,13 @@ def _fwd_linear(attrs, arrays):
     return out, ()
 
 
-def _vjp_linear(attrs, ctx, g, arrays, need):
-    x, w, b = arrays
+def _vjp_linear(node, g):
+    x, w, _ = node.kept
+    need = node.need
     gx = g @ _f64(w).T if need[0] else None
     # w and b are shared by every batch item: one product over every batch row
     gw = _f64(x).reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1]) if need[1] else None
-    return gx, gw, _sum_to(g, b.shape) if need[2] else None
+    return gx, gw, _sum_to(g, node.shapes[2]) if need[2] else None
 
 
 def _fwd_add(attrs, arrays):
@@ -206,9 +258,9 @@ def _fwd_add(attrs, arrays):
     return a + b, ()
 
 
-def _vjp_add(attrs, ctx, g, arrays, need):
-    return (g if need[0] else None,
-            _sum_to(g, arrays[1].shape) if need[1] else None)
+def _vjp_add(node, g):
+    return (g if node.need[0] else None,
+            _sum_to(g, node.shapes[1]) if node.need[1] else None)
 
 
 def _fwd_layer_norm(attrs, arrays):
@@ -220,23 +272,30 @@ def _fwd_layer_norm(attrs, arrays):
         )
     # the float64 operations of numpy's mean and var, without their Python wrappers
     n = x.shape[-1]
-    x64 = _f64(x)
-    c = x64 - np.add.reduce(x64, -1, keepdims=True) / n
-    inv = 1.0 / np.sqrt(np.add.reduce(c * c, -1, keepdims=True) / n + LAYER_NORM_EPS)
-    xhat = c * inv
-    out = (xhat * _f64(gain) + _f64(bias)).astype(np.float32)
-    return out, (xhat, inv)
+    xhat = _f64(x)
+    xhat -= np.add.reduce(xhat, -1, keepdims=True) / n
+    tmp = xhat * xhat
+    inv = 1.0 / np.sqrt(np.add.reduce(tmp, -1, keepdims=True) / n + LAYER_NORM_EPS)
+    xhat *= inv
+    np.multiply(xhat, _f64(gain), out=tmp)
+    tmp += _f64(bias)
+    return tmp.astype(np.float32), (xhat, inv)
 
 
-def _vjp_layer_norm(attrs, ctx, g, arrays, need):
-    xhat, inv = ctx
+def _vjp_layer_norm(node, g):
+    xhat, inv = node.ctx
+    need = node.need
     n = xhat.shape[-1]
     gx = ggain = gbias = None
     if need[0]:
-        dxhat = g * _f64(arrays[1])
-        m1 = np.add.reduce(dxhat, -1, keepdims=True) / n
-        m2 = np.add.reduce(dxhat * xhat, -1, keepdims=True) / n
-        gx = inv * (dxhat - m1 - xhat * m2)
+        # inv * (dxhat - m1 - xhat * m2), one step at a time
+        gx = g * _f64(node.kept[1])
+        m1 = np.add.reduce(gx, -1, keepdims=True) / n
+        tmp = gx * xhat
+        m2 = np.add.reduce(tmp, -1, keepdims=True) / n
+        gx -= m1
+        gx -= np.multiply(xhat, m2, out=tmp)
+        gx *= inv
     if need[1]:
         ggain = (g * xhat).reshape(-1, n).sum(axis=0)
     if need[2]:
@@ -246,9 +305,11 @@ def _vjp_layer_norm(attrs, ctx, g, arrays, need):
 
 def _softmax64(x: np.ndarray) -> np.ndarray:
     """Row softmax over the last axis, float32 in, unrounded float64 out."""
-    x64 = _f64(x)
-    e = np.exp(x64 - x64.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    e = _f64(x)
+    e -= x.max(axis=-1, keepdims=True)  # a float32 max is exact, so the same bits
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def _softmax_vjp(s: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -258,17 +319,37 @@ def _softmax_vjp(s: np.ndarray, g: np.ndarray) -> np.ndarray:
 def _fwd_gelu(attrs, arrays):
     (x,) = arrays
     x64 = _f64(x)
-    # x is float32, so x*x is exact in float64 and the product is the
-    # correctly rounded cube (x**3 goes through pow: slower, not always so)
-    th = np.tanh(_GELU_K * (x64 + _GELU_C * (x64 * x64 * x64)))
-    return (0.5 * x64 * (1.0 + th)).astype(np.float32), (th,)
+    # tanh(K * (x + C * x^3)).  x is float32, so x*x is exact in float64 and the
+    # product is the correctly rounded cube (x**3 goes through pow: slower, not always so)
+    th = x64 * x64
+    th *= x64
+    th *= _GELU_C
+    th += x64
+    th *= _GELU_K
+    np.tanh(th, out=th)
+    x64 *= 0.5
+    x64 *= th + 1.0
+    return x64.astype(np.float32), (th,)
 
 
-def _vjp_gelu(attrs, ctx, g, arrays, need):
-    (th,) = ctx
-    x64 = _f64(arrays[0])
-    du = _GELU_K * (1.0 + 3.0 * _GELU_C * (x64 * x64))
-    return (g * (0.5 * (1.0 + th) + 0.5 * x64 * (1.0 - th**2) * du),)
+def _vjp_gelu(node, g):
+    # g * (0.5 * (1 + th) + 0.5 * x * (1 - th^2) * K * (1 + 3 * C * x^2))
+    (th,) = node.ctx
+    x64 = _f64(node.kept[0])
+    du = x64 * x64
+    du *= 3.0 * _GELU_C
+    du += 1.0
+    du *= _GELU_K
+    x64 *= 0.5
+    tmp = np.multiply(th, th)
+    np.subtract(1.0, tmp, out=tmp)
+    x64 *= tmp
+    x64 *= du
+    np.add(th, 1.0, out=tmp)
+    tmp *= 0.5
+    tmp += x64
+    tmp *= g
+    return (tmp,)
 
 
 def _split_heads(a: np.ndarray, parts: int, heads: int) -> np.ndarray:
@@ -302,10 +383,10 @@ def _fwd_attention(attrs, arrays):
     return _merge_heads(out[None]), (s,)
 
 
-def _vjp_attention(attrs, ctx, g, arrays, need):
-    (s,) = ctx
-    heads = int(attrs["heads"])
-    q64, k64, v64 = np.ascontiguousarray(_split_heads(arrays[0], 3, heads), dtype=np.float64)
+def _vjp_attention(node, g):
+    (s,) = node.ctx
+    heads = int(node.attrs["heads"])
+    q64, k64, v64 = np.ascontiguousarray(_split_heads(node.kept[0], 3, heads), dtype=np.float64)
     (g_out,) = _split_heads(g, 1, heads)
     gp = g_out @ _mT(v64)
     gv = _mT(_f64(s.astype(np.float32))) @ g_out
@@ -329,9 +410,9 @@ def _fwd_patchify(attrs, arrays):
     return np.ascontiguousarray(grid.reshape(*lead, gh * gw, ps * ps * c)), ()
 
 
-def _vjp_patchify(attrs, ctx, g, arrays, need):
-    ps = int(attrs["patch_size"])
-    *lead, h, w, c = arrays[0].shape
+def _vjp_patchify(node, g):
+    ps = int(node.attrs["patch_size"])
+    *lead, h, w, c = node.shapes[0]
     n = len(lead)
     gh, gw = h // ps, w // ps
     grid = g.reshape(*lead, gh, gw, ps, ps, c).transpose(*range(n), n, n + 2, n + 1, n + 3, n + 4)
@@ -348,9 +429,9 @@ def _fwd_mean_pool(attrs, arrays):
     return out.astype(np.float32), ()
 
 
-def _vjp_mean_pool(attrs, ctx, g, arrays, need):
-    r0, r1 = attrs["rows"]
-    gx = np.zeros(arrays[0].shape, dtype=np.float64)
+def _vjp_mean_pool(node, g):
+    r0, r1 = node.attrs["rows"]
+    gx = np.zeros(node.shapes[0], dtype=np.float64)
     gx[..., r0:r1, :] = g / (r1 - r0)
     return (gx,)
 
@@ -365,12 +446,12 @@ def _fwd_concat(attrs, arrays):
     return np.concatenate(parts, axis=-2), ()
 
 
-def _vjp_concat(attrs, ctx, g, arrays, need):
+def _vjp_concat(node, g):
     out = []
     start = 0
-    for a, needed in zip(arrays, need):
-        size = a.shape[-2]
-        out.append(_sum_to(g[..., start:start + size, :], a.shape) if needed else None)
+    for shape, needed in zip(node.shapes, node.need):
+        size = shape[-2]
+        out.append(_sum_to(g[..., start:start + size, :], shape) if needed else None)
         start += size
     return tuple(out)
 
@@ -384,4 +465,10 @@ _PRIMITIVES = {
     "patchify": (_fwd_patchify, _vjp_patchify),
     "mean_pool": (_fwd_mean_pool, _vjp_mean_pool),
     "concat": (_fwd_concat, _vjp_concat),
+}
+_READ_BY = {
+    "linear": (1, 0, None),      # gw reads x, gx reads w
+    "layer_norm": (None, 0, None),
+    "gelu": (0,),
+    "attention": (0,),
 }

@@ -33,7 +33,7 @@ from .metrics import aggregate, per_record_metrics
 from .model import ModelConfig, keep_freed_memory, outputs
 from .pca import fit_pca
 from .pca import project as pca_project
-from .records_io import read_records, write_records
+from .records_io import check_sidecars, read_records, write_records
 from .seeding import derive_seed
 from .train import TrainConfig, TrainingError, train
 from .weights_io import WeightFormatError, load_weights, save_weights
@@ -169,6 +169,7 @@ def cmd_attack(args) -> None:
                             limit=args.num_pairs)
     except PairingError as e:
         raise UsageError(f"--data: {e}") from None
+    check_sidecars(pairs)  # a data error before any iteration runs, not at write_records
     records, failures = run_suite(pairs, weights, cfg, by_id, workers=args.workers)
     records_path = write_records(records, out)
     _write_run_manifest(out, "attack", args, seed, [records_path])

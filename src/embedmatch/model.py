@@ -27,11 +27,14 @@ from .autodiff import Forward, ShapeError, Tape
 
 EMBED_KINDS = ("class_token", "mil_mean")
 # images per pass, in attack-suite chunks and forward-only calls.  No output depends on it;
-# it trades speed against memory.  On a heap that keeps freed memory (keep_freed_memory),
-# 8 images per pass cut an attack-suite repetition's wall time by about a sixth against 4;
-# 12 and 16 were no faster, and each tape's context grows with its batch: peak memory
-# rose 2.5 MB at 8, 5.2 MB at 12 and 8.3 MB at 16, on about 42 MB at 4.
-CHUNK = 8
+# it trades speed against memory, since each tape's context grows with its batch.  perfbench
+# attack-suite, seed 1, six 30 s runs per value on a 2-vCPU host, on a heap that keeps freed
+# memory (keep_freed_memory), median iterations/s and peak RSS:
+#   CHUNK   8: 1547 it/s, 46.2 MB     CHUNK 16: 1699 it/s, 50.3 MB
+#   CHUNK  12: 1583 it/s, 48.3 MB     CHUNK 24: 1709 it/s, 54.3 MB
+# Runs spread over 1334-1784 it/s.  16 is the largest value whose memory stays within the
+# benchmark's 10 % peak-RSS bound of CHUNK 8 on a tape that kept every value (47.3 MB).
+CHUNK = 16
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc's mallopt parameter numbers
 
 

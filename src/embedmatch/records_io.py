@@ -29,12 +29,36 @@ _KEYS = _SCALARS | {"image_shape": list[int], "image_raw": str,
                     "trace": list[tuple[tuple(get_type_hints(TracePoint).values())]]}
 
 
+def _stem(source_id: str, target_id: str) -> str:
+    return f"{source_id}__{target_id}"
+
+
+def check_sidecars(pairs) -> None:
+    """Raise ValueError if two (source_id, target_id) pairs would write the same sidecars.
+
+    The stem joins the ids with ``__``, so ("a__b", "c") and ("a", "b__c") collide,
+    and the later record's images would overwrite the earlier one's.
+    """
+    seen = {}
+    for pair in pairs:
+        stem = _stem(*pair)
+        if stem in seen:
+            (s0, t0), (s1, t1) = seen[stem], pair
+            raise ValueError(f"pairs {s0!r} -> {t0!r} and {s1!r} -> {t1!r} would both write "
+                             f"the sidecars images/{stem}.ppm and .f32")
+        seen[stem] = pair
+
+
 def write_records(records, out_dir) -> Path:
-    """Write records.jsonl plus its images/ sidecars under out_dir."""
+    """Write records.jsonl plus its images/ sidecars under out_dir.
+
+    Raises ValueError, before writing anything, if two records share a sidecar stem.
+    """
     out_dir = Path(out_dir)
+    check_sidecars((r.source_id, r.target_id) for r in records)
     lines = []
     for r in records:
-        stem = f"{r.source_id}__{r.target_id}"
+        stem = _stem(r.source_id, r.target_id)
         ppm_rel = f"images/{stem}.ppm"
         raw_rel = f"images/{stem}.f32"
         save_image(r.image, out_dir / ppm_rel)

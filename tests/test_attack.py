@@ -221,7 +221,7 @@ def _prm_pair(w, cfg, by_id, source_id, target_id):
 
 def test_run_suite_lockstep_equals_per_pair_prm(setup, tmp_path):
     cfg, w, rng = setup
-    _, by_id, pairs = _suite_fixture(cfg, rng, n=20)
+    _, by_id, pairs = _suite_fixture(cfg, rng, n=2 * CHUNK + 4)
     assert len(pairs) > 2 * CHUNK  # several chunks, the last one partial
     serial, serial_failures = run_suite(pairs, w, UNEVEN, by_id, workers=1)
     parallel, parallel_failures = run_suite(pairs, w, UNEVEN, by_id, workers=4)
@@ -245,8 +245,9 @@ def test_run_suite_lockstep_equals_per_pair_prm(setup, tmp_path):
 def test_run_suite_records_do_not_depend_on_chunk_size(setup, tmp_path, monkeypatch):
     cfg, w, rng = setup
     _, by_id, pairs = _suite_fixture(cfg, rng, n=20)
+    assert len(pairs) % 7  # the last chunk of 7 is partial
     written = []
-    for chunk in (4, 8):
+    for chunk in (CHUNK, 7):
         monkeypatch.setattr(attack, "CHUNK", chunk)
         records, failures = run_suite(pairs, w, UNEVEN, by_id)
         assert not failures

@@ -1,5 +1,8 @@
 """Tape primitives, backward passes, and the finite-difference oracle."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -137,13 +140,22 @@ def test_forward_raises_what_tape_raises(op, shapes, attrs):
 
 def test_backward_deterministic_bitwise():
     rng = np.random.default_rng(3)
-    tape, x = _tape_with_leaf(rng.random((2, 4), dtype=np.float32))
-    g = tape.leaf(rng.random(4, dtype=np.float32))
-    b = tape.leaf(rng.random(4, dtype=np.float32))
-    h = tape.apply("gelu", tape.apply("layer_norm", x, g, b))
-    first = _pooled_sq_grad(tape, h, x)
-    second = _pooled_sq_grad(tape, h, x)
-    assert first.tobytes() == second.tobytes()
+    x, g, b = (rng.random(shape, dtype=np.float32) for shape in ((2, 4), (4,), (4,)))
+
+    def grad():
+        tape, xi = _tape_with_leaf(x)
+        h = tape.apply("gelu", tape.apply("layer_norm", xi, tape.leaf(g), tape.leaf(b)))
+        return _pooled_sq_grad(tape, h, xi)
+
+    assert grad().tobytes() == grad().tobytes()
+
+
+def test_second_backward_is_contract_error():
+    tape, x = _tape_with_leaf([[1.0, 2.0]])
+    y = tape.apply("gelu", x)
+    tape.backward({y: np.ones((1, 2))})
+    with pytest.raises(ContractError, match="single-use"):
+        tape.backward({y: np.ones((1, 2))})
 
 
 # --- finite_diff_gradient ------------------------------------------------------
@@ -484,8 +496,25 @@ def test_context_kept_only_where_gradients_flow():
     tape = Tape()
     frozen = tape.leaf(np.ones((2, 3), np.float32))
     watched = tape.leaf(np.ones((2, 3), np.float32), watch=True)
-    assert tape.nodes[tape.apply("gelu", frozen)].ctx == ()
-    assert tape.nodes[tape.apply("gelu", watched)].ctx != ()
+    assert tape.nodes[tape.apply("gelu", frozen).index] is None  # no context, no input
+    assert tape.nodes[tape.apply("gelu", watched).index].ctx != ()
+
+
+@pytest.mark.parametrize("watch_weights", [False, True])
+def test_linear_input_kept_only_when_the_weights_need_it(watch_weights):
+    # the weight gradient reads the linear's input; the input gradient reads only w
+    rng = np.random.default_rng(4)
+    tape, x = _tape_with_leaf(rng.standard_normal((2, 3, 4)).astype(np.float32))
+    w, b = (tape.leaf(rng.standard_normal(s).astype(np.float32), watch=watch_weights)
+            for s in ((4, 5), (5,)))
+    h = tape.apply("add", x, x)
+    y = tape.apply("linear", h, w, b)
+    freed = weakref.ref(tape.value(h))
+    del h
+    gc.collect()
+    assert (freed() is None) is not watch_weights
+    grads = tape.backward({y: np.ones((2, 3, 5))})
+    assert grads[x].shape == (2, 3, 4) and (w in grads) is watch_weights
 
 
 # --- algebraic properties -------------------------------------------------------

@@ -15,7 +15,8 @@ from _reference import record_metrics
 
 from embedmatch import model
 from embedmatch.cli import main
-from embedmatch.data import load_dataset, load_image, save_image, split
+from embedmatch.attack import build_pairs
+from embedmatch.data import dataset_index, load_dataset, load_image, load_items, save_image, split
 from embedmatch.metrics import aggregate
 from embedmatch.records_io import read_records, write_records
 from embedmatch.seeding import derive_seed
@@ -233,6 +234,32 @@ def test_attack_outputs_respect_epsilon(pipeline):
     for r in records:
         assert (pipeline / "attack" / f"images/{r.source_id}__{r.target_id}.ppm").exists()
     assert not (pipeline / "attack" / "traces").exists()  # the trace is inline only
+
+
+def test_pairs_sharing_a_sidecar_are_data_error(pipeline, tmp_path, capsys):
+    # sidecars are named source__target, so ("a__b", "c") and ("a", "b__c") both write
+    # images/a__b__c.*; rename four images of two attacked pairs to make them collide
+    index = dataset_index(pipeline / "data" / "manifest.csv")
+    test_ids = split(list(index), derive_seed(7, "split")).test
+    pairs = build_pairs(list(load_items(index, test_ids).values()), derive_seed(7, "pairs"),
+                        limit=4)
+    (s1, t1), (s2, t2) = next((p, q) for p in pairs for q in pairs if len({*p, *q}) == 4)
+    rename = {s1: "a__b", t1: "c", s2: "a", t2: "b__c"}
+    data = tmp_path / "data"
+    data.mkdir()
+    rows = ["path,label"]
+    for image_id, (path, label) in index.items():
+        name = rename.get(image_id, image_id) + path.suffix
+        shutil.copy(path, data / name)
+        rows.append(f"{name},{label}")
+    (data / "manifest.csv").write_text("\n".join(rows) + "\n")
+    out = tmp_path / "out"
+    assert main(["attack", "--weights", str(pipeline / "model" / "weights.vitw"),
+                 "--data", str(data), "--out", str(out), "--seed", "7"] + SMALL_ATTACK) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error") and "images/a__b__c" in err
+    assert "'a__b' -> 'c'" in err and "'a' -> 'b__c'" in err
+    assert not out.exists()
 
 
 def _record_files(root):

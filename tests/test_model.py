@@ -212,8 +212,8 @@ def test_forward_only_outputs_equal_taped_head_values_bitwise(config):
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt is glibc's")
 def test_warm_matching_steps_take_almost_no_page_faults():
-    # measured at CHUNK 8 on the default config: 14 minor faults over 10 warm steps with
-    # the heap kept, 13.5k with glibc's default thresholds
+    # measured at CHUNK 16 on the default config: 20 to 21 minor faults over 10 warm steps
+    # with the heap kept, 23.5k with glibc's default thresholds
     keep_freed_memory()
     w = init_weights(ModelConfig(), seed=3)
     rng = np.random.default_rng(0)

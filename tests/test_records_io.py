@@ -1,8 +1,10 @@
 """JSON-lines record serialization with inline traces and image sidecars."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from conftest import random_image, tiny_config
 
@@ -64,3 +66,13 @@ def test_keys_read_records_does_not_need_are_ignored(tmp_path):
     assert [r.image.tobytes() for r in back] == [r.image.tobytes() for r in records]
     # every other field, floats included, in the bytes of a line written afresh
     assert write_records(back, tmp_path / "again").read_text() == written
+
+
+def test_records_sharing_a_sidecar_are_rejected_before_writing(tmp_path):
+    # source__target stems: ("a__b", "c") and ("a", "b__c") would both be images/a__b__c.*
+    first, second = _records(tmp_path)[:2]
+    records = [replace(first, source_id="a__b", target_id="c"),
+               replace(second, source_id="a", target_id="b__c")]
+    with pytest.raises(ValueError, match="'a__b' -> 'c' and 'a' -> 'b__c'"):
+        write_records(records, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
